@@ -38,9 +38,11 @@ object GBABS {
     val chosen = mutable.LinkedHashMap.empty[Long, Point]
     val borderline = mutable.Set.empty[Int]
     if (balls.size >= 2) {
+      val centers = Array.ofDim[Double](p, balls.size)
+      balls.indices.foreach(i => (0 until p).foreach(d => centers(d)(i) = balls(i).center(d)))
       var d = 0
       while (d < p) {
-        val order = balls.indices.sortBy(i => (balls(i).center(d), i.toLong))
+        val order = orderAlong(centers(d))
         var k = 0
         while (k < order.length - 1) {
           val j = order(k); val j2 = order(k + 1)
@@ -59,6 +61,31 @@ object GBABS {
     (chosen.valuesIterator.toVector, borderline.toSet)
   }
 
+  /** Indices of `values` in `java.lang.Double.compare` order, ties by index.
+    * Equal values share their rank in a sorted copy; each index is packed
+    * below its rank so one primitive sort gives the order.
+    */
+  private[core] def orderAlong(values: Array[Double]): Array[Int] = {
+    val sorted = values.clone()
+    java.util.Arrays.sort(sorted)
+    val keys = new Array[Long](values.length)
+    var i = 0
+    while (i < keys.length) {
+      var lo = 0; var hi = sorted.length // first position not below values(i)
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (java.lang.Double.compare(sorted(mid), values(i)) < 0) lo = mid + 1 else hi = mid
+      }
+      keys(i) = (lo.toLong << 32) | i
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val order = new Array[Int](keys.length)
+    i = 0
+    while (i < keys.length) { order(i) = keys(i).toInt; i += 1 }
+    order
+  }
+
   /** Full pipeline: RD-GBG granulation then borderline sampling.
     *
     * If the ball set is single-class (no class boundary exists — e.g. a
@@ -67,8 +94,8 @@ object GBABS {
     */
   def run(data: Seq[Point], rho: Int = 5, seed: Long = 42): GBABSResult = {
     if (data.isEmpty) return GBABSResult(Vector.empty, Vector.empty, Vector.empty, Set.empty, 0)
-    val p = data.head.dim
     val gen = RDGBG.generate(data, rho, seed)
+    val p = data.head.dim
     val labels = gen.balls.map(_.label).distinct
     if (labels.size <= 1) {
       GBABSResult(gen.balls.flatMap(_.points), gen.balls, gen.noise, Set.empty, data.size)

@@ -24,108 +24,236 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   * generated ball (Eq.4–6) so balls never overlap. Terminates when every
   * undivided sample is low-density; remaining samples become radius-0
   * orphan balls (completeness).
+  *
+  * Cost: each candidate attempt is one O(|U|·p) scan of primitive distances
+  * over the undivided set U, with no sort. The scan finds the nearest sample
+  * by (distance, id) and the nearest heterogeneous distances; Eq.2 takes
+  * the ρ nearest from a bounded insertion buffer over the stored distances,
+  * and only the members of a new ball are sorted. Ties are broken by id
+  * throughout, and every distance is `math.sqrt` of the left-to-right sum
+  * of `Point.sqDist`, so the balls equal those of a full (distance, id)
+  * sort of U. In that sort the homogeneous prefix of Eq.3 ends at the first
+  * heterogeneous sample, and homogeneous samples tied with it at the same
+  * distance are cut so no heterogeneous sample lies on the ball (purity
+  * 1.0); the prefix is therefore exactly the samples strictly closer than
+  * the nearest heterogeneous one.
   */
 object RDGBG {
 
-  /** Run RD-GBG over `data` with density tolerance `rho` (paper default 5). */
+  /** Run RD-GBG over `data` with density tolerance `rho` (paper default 5).
+    *
+    * @throws IllegalArgumentException if `rho < 2`, or if `data` holds a
+    *         duplicate id, a missing or ragged feature array, or a NaN or
+    *         infinite feature value (the message names the first such id)
+    */
   def generate(data: Seq[Point], rho: Int = 5, seed: Long = 42): RDGBGResult = {
     require(rho >= 2, s"density tolerance must be >= 2, got $rho")
-    val rng = new Random(seed)
+    val pts = data.toArray
+    checkInput(pts)
+    new Granulation(pts, rho, new Random(seed)).run()
+  }
 
-    // Undivided set U and low-density set L (L subset of U), keyed by id.
-    val u = mutable.LinkedHashMap.empty[Long, Point]
-    data.foreach(p => u.put(p.id, p))
-    val l = mutable.LinkedHashSet.empty[Long]
-    val balls = Vector.newBuilder[GranularBall]
-    val ballList = mutable.ArrayBuffer.empty[GranularBall]
-    val noise = Vector.newBuilder[Point]
+  /** Rejects inputs on which RD-GBG is undefined: duplicate ids (U is a set
+    * of samples keyed by id), missing or ragged feature arrays, and NaN or
+    * infinite values (distances would not be totally ordered).
+    */
+  private def checkInput(pts: Array[Point]): Unit = {
+    val seen = mutable.HashSet.empty[Long]
+    pts.foreach { pt =>
+      val f = pt.features
+      require(f != null, s"sample id ${pt.id} has no feature array")
+      val p = pts(0).features.length
+      require(f.length == p, s"ragged features: sample id ${pt.id} has ${f.length} values, the first sample has $p")
+      require(seen.add(pt.id), s"duplicate sample id ${pt.id}")
+      require(f.forall(v => java.lang.Double.isFinite(v)), s"sample id ${pt.id} has a NaN or infinite feature value")
+    }
+  }
 
-    var done = false
-    while (!done) {
-      // T = U - L, grouped by label, larger groups first.
-      val t = u.valuesIterator.filterNot(p => l.contains(p.id)).toVector
-      if (t.isEmpty) done = true
-      else {
-        val groups = t.groupBy(_.label).toVector.sortBy { case (lab, ps) => (-ps.size, lab) }
-        val candidates = groups.map { case (_, ps) => ps(rng.nextInt(ps.size)) }
+  /** State of one `generate` call. Samples are addressed by their index in
+    * `pts`; U and L (L subset of U) are flags with counts.
+    */
+  private final class Granulation(pts: Array[Point], rho: Int, rng: Random) {
+    private val n = pts.length
+    private val p = if (n == 0) 0 else pts(0).dim
+    /** Row-major features. */
+    private val x = new Array[Double](n * p)
+    for (i <- 0 until n) System.arraycopy(pts(i).features, 0, x, i * p, p)
+    /** Classes indexed in label order. */
+    private val labels = pts.map(_.label).distinct.sorted
+    private val cls = pts.map(pt => java.util.Arrays.binarySearch(labels, pt.label))
+    private val ids = pts.map(_.id)
 
-        for (c <- candidates if u.contains(c.id) && !l.contains(c.id)) {
-          // Distances from c to every other undivided sample, ascending.
-          val others = u.valuesIterator.filter(_.id != c.id).toArray
-          if (others.isEmpty) {
-            l.add(c.id) // no neighbor left: degenerate, becomes an orphan
-          } else {
-            val byDist = others.map(p => (p, p.dist(c))).sortBy { case (p, d) => (d, p.id) }
-            val nearest = byDist.head._1
+    private val inU = Array.fill(n)(true)
+    private val inL = new Array[Boolean](n)
+    private var uSize = n
+    private var lSize = 0
+    /** U in data order, compacted once per iteration; samples may leave U
+      * during an iteration, so every pass also tests `inU`.
+      */
+    private val live = Array.range(0, n)
+    private var liveN = n
 
-            var centerOk = true
-            var dropped: Option[Point] = None
-            if (nearest.label != c.label) {
-              // Eq.2: heterogeneous count among the rho nearest neighbors.
-              val avail = math.min(rho, byDist.length)
-              val h = byDist.take(avail).count(_._1.label != c.label)
-              if (h == avail) {            // center is class noise
-                u.remove(c.id); noise += c; centerOk = false
-              } else if (h == 1) {         // the nearest neighbor is class noise
-                u.remove(nearest.id); l.remove(nearest.id); noise += nearest
-                dropped = Some(nearest)
-              } else {                     // indistinguishable: low-density
-                l.add(c.id); centerOk = false
-              }
-            }
+    /** Distance of each sample in U to the current candidate. */
+    private val dist = new Array[Double](n)
+    private val prefix = new Array[Int](n)
+    private val nearest = new Array[Int](math.min(rho, n))
+    /** Centers (row-major) and radii of the balls generated so far, for Eq.4. */
+    private val ballX = new Array[Double](n * p)
+    private val ballR = new Array[Double](n)
+    private var ballN = 0
 
-            if (centerOk) {
-              val neigh = dropped match {
-                case Some(nz) => byDist.filter(_._1.id != nz.id)
-                case None     => byDist
-              }
-              // omega = length of the homogeneous prefix (Eq.3).
-              var omega = 0
-              while (omega < neigh.length && neigh(omega)._1.label == c.label) omega += 1
-              // Distance ties at the boundary: a heterogeneous sample at
-              // exactly the prefix distance must not fall inside the ball,
-              // so shrink the radius strictly below it (purity 1.0).
-              if (omega < neigh.length) {
-                val hetD = neigh(omega)._2
-                while (omega > 0 && neigh(omega - 1)._2 >= hetD) omega -= 1
-              }
-              val cr = if (omega == 0) 0.0 else neigh(omega - 1)._2
+    private val balls = Vector.newBuilder[GranularBall]
+    private val noise = Vector.newBuilder[Point]
 
-              // Eq.4: distance to the closest previously generated ball.
-              var rConf = Double.PositiveInfinity
-              ballList.foreach { gb =>
-                val d = Point.dist(gb.center, c.features) - gb.radius
-                if (d < rConf) rConf = d
-              }
+    def run(): RDGBGResult = {
+      val tCount = new Array[Int](labels.length)
+      val kth = new Array[Int](labels.length)
+      val pick = new Array[Int](labels.length)
+      while (uSize > lSize) {
+        var w = 0; var k = 0
+        while (k < liveN) { val i = live(k); if (inU(i)) { live(w) = i; w += 1 }; k += 1 }
+        liveN = w
 
-              // Eq.5/6: restrict the consistent radius by the conflict radius.
-              val r =
-                if (cr <= rConf) cr
-                else {
-                  var rm = 0.0; var i = 0
-                  while (i < omega) { val d = neigh(i)._2; if (d <= rConf && d > rm) rm = d; i += 1 }
-                  rm
-                }
+        // T = U - L, grouped by label, larger groups first. Each group draws
+        // k and offers its k-th member in data order as the candidate.
+        java.util.Arrays.fill(tCount, 0)
+        k = 0
+        while (k < liveN) { val i = live(k); if (!inL(i)) tCount(cls(i)) += 1; k += 1 }
+        val groups = labels.indices.filter(tCount(_) > 0).sortBy(g => -tCount(g))
+        groups.foreach(g => kth(g) = rng.nextInt(tCount(g)))
+        java.util.Arrays.fill(tCount, 0)
+        k = 0
+        while (k < liveN) {
+          val i = live(k)
+          if (!inL(i)) { val g = cls(i); if (tCount(g) == kth(g)) pick(g) = i; tCount(g) += 1 }
+          k += 1
+        }
 
-              if (r > 0.0) {
-                val members = neigh.take(omega).takeWhile(_._2 <= r).map(_._1).toVector :+ c
-                val gb = GranularBall(c.features, r, c.label, members)
-                ballList += gb; balls += gb
-                members.foreach { m => u.remove(m.id); l.remove(m.id) }
-              } else {
-                l.add(c.id)
-              }
-            }
+        groups.foreach { g => val c = pick(g); if (inU(c) && !inL(c)) attempt(c) }
+      }
+
+      // Orphan stage: every remaining undivided sample is its own ball.
+      for (i <- 0 until n if inU(i)) balls += GranularBall(pts(i).features, 0.0, pts(i).label, Vector(pts(i)))
+      RDGBGResult(balls.result(), noise.result())
+    }
+
+    /** Eq.2-6 for candidate center `c`. */
+    private def attempt(c: Int): Unit = {
+      if (uSize == 1) { markLow(c); return } // no neighbor left: degenerate, becomes an orphan
+
+      // One scan over U: distances, the nearest sample by (distance, id),
+      // and the two smallest heterogeneous distances.
+      val lc = cls(c); val cOff = c * p
+      var nn = -1; var het = 0
+      var het1 = Double.PositiveInfinity; var het2 = Double.PositiveInfinity
+      var k = 0
+      while (k < liveN) {
+        val j = live(k)
+        if (inU(j) && j != c) {
+          val off = j * p
+          var s = 0.0; var f = 0
+          while (f < p) { val d = x(off + f) - x(cOff + f); s += d * d; f += 1 }
+          val d = math.sqrt(s)
+          dist(j) = d
+          if (nn < 0 || before(j, nn)) nn = j
+          if (cls(j) != lc) {
+            het += 1
+            if (d < het1) { het2 = het1; het1 = d } else if (d < het2) het2 = d
           }
         }
-        if (u.valuesIterator.forall(p => l.contains(p.id))) done = true
+        k += 1
+      }
+
+      var hetD = het1
+      if (cls(nn) != lc) {
+        // Eq.2: heterogeneous count among the rho nearest neighbors.
+        val avail = math.min(rho, uSize - 1)
+        val h = if (avail == uSize - 1) het else heteroAmongNearest(c, avail)
+        if (h == avail) {            // center is class noise
+          leaveU(c); noise += pts(c); return
+        } else if (h == 1) {         // the nearest neighbor is class noise
+          leaveU(nn); noise += pts(nn)
+          het -= 1; hetD = het2
+        } else {                     // indistinguishable: low-density
+          markLow(c); return
+        }
+      }
+
+      // Eq.3: the homogeneous samples strictly closer than the nearest
+      // heterogeneous one; cr is their largest distance.
+      var m = 0; var cr = 0.0
+      k = 0
+      while (k < liveN) {
+        val j = live(k)
+        if (inU(j) && j != c && cls(j) == lc && (het == 0 || dist(j) < hetD)) {
+          prefix(m) = j; m += 1
+          if (dist(j) > cr) cr = dist(j)
+        }
+        k += 1
+      }
+
+      // Eq.4: distance to the closest previously generated ball.
+      var rConf = Double.PositiveInfinity
+      var b = 0
+      while (b < ballN) {
+        val off = b * p
+        var s = 0.0; var f = 0
+        while (f < p) { val d = ballX(off + f) - x(cOff + f); s += d * d; f += 1 }
+        val d = math.sqrt(s) - ballR(b)
+        if (d < rConf) rConf = d
+        b += 1
+      }
+
+      // Eq.5/6: restrict the consistent radius by the conflict radius.
+      val r =
+        if (cr <= rConf) cr
+        else {
+          var rm = 0.0; var i = 0
+          while (i < m) { val d = dist(prefix(i)); if (d <= rConf && d > rm) rm = d; i += 1 }
+          rm
+        }
+
+      if (r > 0.0) {
+        val inside = prefix.take(m).filter(dist(_) <= r).sortWith(before)
+        val members = (inside.iterator.map(pts(_)) ++ Iterator.single(pts(c))).toVector
+        balls += GranularBall(pts(c).features, r, pts(c).label, members)
+        System.arraycopy(x, cOff, ballX, ballN * p, p)
+        ballR(ballN) = r; ballN += 1
+        inside.foreach(leaveU); leaveU(c)
+      } else {
+        markLow(c)
       }
     }
 
-    // Orphan stage: every remaining undivided sample is its own ball.
-    u.valuesIterator.foreach { p =>
-      balls += GranularBall(p.features, 0.0, p.label, Vector(p))
+    /** Eq.2's h: heterogeneous samples among the `avail` nearest to `c` by
+      * (distance, id), kept in a sorted insertion buffer.
+      */
+    private def heteroAmongNearest(c: Int, avail: Int): Int = {
+      var size = 0; var k = 0
+      while (k < liveN) {
+        val j = live(k)
+        if (inU(j) && j != c && (size < avail || before(j, nearest(avail - 1)))) {
+          var at = if (size < avail) size else avail - 1
+          while (at > 0 && before(j, nearest(at - 1))) { nearest(at) = nearest(at - 1); at -= 1 }
+          nearest(at) = j
+          if (size < avail) size += 1
+        }
+        k += 1
+      }
+      var h = 0; var i = 0
+      while (i < avail) { if (cls(nearest(i)) != cls(c)) h += 1; i += 1 }
+      h
     }
-    RDGBGResult(balls.result(), noise.result())
+
+    /** (distance, id) order of two samples in U. */
+    private def before(a: Int, b: Int): Boolean =
+      dist(a) < dist(b) || (dist(a) == dist(b) && ids(a) < ids(b))
+
+    private def leaveU(i: Int): Unit = {
+      inU(i) = false; uSize -= 1
+      if (inL(i)) { inL(i) = false; lSize -= 1 }
+    }
+
+    private def markLow(i: Int): Unit = { inL(i) = true; lSize += 1 }
   }
 }

@@ -63,7 +63,7 @@ object Experiment {
   val imbalancedMethods: Vector[String] =
     Vector("GBABS", "GGBS", "IGBS", "SM", "BSM", "SMNC", "Tomek")
 
-  private def cellSeed(cfg: BenchConfig, key: CellKey): Long =
+  private[exp] def cellSeed(cfg: BenchConfig, key: CellKey): Long =
     cfg.seed * 1000003L + key.specIdx * 10007L + math.round(key.noise * 100).toInt * 101L + key.fold
 
   /** Build the (standardized) train/test split for a cell. */
@@ -83,7 +83,7 @@ object Experiment {
   def applyMethod(method: String, train: Vector[Point], spec: DatasetSpec,
                   cfg: BenchConfig, seed: Long, gbabsRatio: Double): (Vector[Point], Double) = {
     val pEff = train.headOption.map(_.dim).getOrElse(0)
-    val sampled = method match {
+    nonEmptyOr(train, method match {
       case "GBABS" => GBABS.run(train, cfg.rho, seed).sampled
       case "GGBS"  => GGBS.sample(train, cfg.purity, seed)
       case "IGBS"  => IGBS.sample(train, cfg.purity, seed)
@@ -94,24 +94,30 @@ object Experiment {
       case "Tomek" => TomekLinks.sample(train)
       case "None"  => train
       case other   => throw new IllegalArgumentException(s"unknown sampling method: $other")
-    }
+    })
+  }
+
+  /** An empty sample falls back to the whole training set. */
+  private def nonEmptyOr(train: Vector[Point], sampled: Vector[Point]): (Vector[Point], Double) = {
     val safe = if (sampled.isEmpty) train else sampled
     (safe, safe.size.toDouble / train.size)
   }
 
-  /** Run every (method, learner) pair of one cell. */
+  /** Run every (method, learner) pair of one cell. GBABS runs at most once:
+    * its sample serves the "GBABS" method and its ratio sizes SRS.
+    */
   def runCell(key: CellKey, cfg: BenchConfig,
               methods: Vector[String], useLearners: Vector[Learner]): Vector[CellResult] = {
     val (spec, train, test) = foldData(key, cfg)
     val seed = cellSeed(cfg, key)
-    val gbabsRatio = {
-      val r = GBABS.run(train, cfg.rho, seed)
-      if (r.sampled.isEmpty) 1.0 else r.samplingRatio
-    }
+    lazy val gbabs = GBABS.run(train, cfg.rho, seed)
+    lazy val gbabsRatio = if (gbabs.sampled.isEmpty) 1.0 else gbabs.samplingRatio
     val actual = test.map(_.label)
     for {
       method <- methods
-      (sampled, ratio) = applyMethod(method, train, spec, cfg, seed, gbabsRatio)
+      (sampled, ratio) =
+        if (method == "GBABS") nonEmptyOr(train, gbabs.sampled)
+        else applyMethod(method, train, spec, cfg, seed, gbabsRatio)
       learner <- useLearners
     } yield {
       val model = learner.fit(sampled, seed)

@@ -66,6 +66,55 @@ class GBABSSpec extends SparkSpec {
     assert(sampled.isEmpty && borderline.isEmpty)
   }
 
+  test("orderAlong equals the (center, index) tuple sort, including ties, -0.0 and infinities") {
+    val rng = new scala.util.Random(47)
+    val specials = Array(0.0, -0.0, 1.0, -1.0, Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue)
+    for (trial <- 0 until 200) {
+      val n = rng.nextInt(40)
+      val values = Array.fill(n)(
+        if (trial % 2 == 0) specials(rng.nextInt(specials.length)) else rng.nextInt(5) + rng.nextDouble())
+      assert(GBABS.orderAlong(values).toVector == values.indices.sortBy(i => (values(i), i.toLong)).toVector)
+    }
+  }
+
+  test("sampleBalls keeps the borderline set and sampled order of the tuple-sort version") {
+    for (seed <- 0 until 6; nz <- Seq(0.0, 0.3)) {
+      val clean = TestData.blobs(3, 40, dim = 3, sep = 3.0, seed = 50 + seed)
+      val quantized = clean.map(pt => pt.copy(features = pt.features.map(v => math.round(v).toDouble)))
+      for (data <- Seq(clean, quantized)) {
+        val balls = RDGBG.generate(repro.data.DatasetGen.withNoise(data, nz, seed), seed = seed).balls
+        val (sampled, borderline) = GBABS.sampleBalls(balls, p = 3)
+        val (wantSampled, wantBorderline) = tupleSortSampleBalls(balls, p = 3)
+        assert(sampled.map(_.id) == wantSampled.map(_.id))
+        assert(borderline == wantBorderline)
+      }
+    }
+  }
+
+  /** `GBABS.sampleBalls` as first written, ordering each dimension with a
+    * boxed (center, index) tuple sort.
+    */
+  private def tupleSortSampleBalls(balls: Vector[GranularBall], p: Int): (Vector[Point], Set[Int]) = {
+    val chosen = scala.collection.mutable.LinkedHashMap.empty[Long, Point]
+    val borderline = scala.collection.mutable.Set.empty[Int]
+    if (balls.size >= 2) {
+      for (d <- 0 until p) {
+        val order = balls.indices.sortBy(i => (balls(i).center(d), i.toLong))
+        for (k <- 0 until order.length - 1) {
+          val j = order(k); val j2 = order(k + 1)
+          if (balls(j).label != balls(j2).label) {
+            borderline += j; borderline += j2
+            val left  = balls(j).extremeAlong(d, largest = true)
+            val right = balls(j2).extremeAlong(d, largest = false)
+            chosen.getOrElseUpdate(left.id, left)
+            chosen.getOrElseUpdate(right.id, right)
+          }
+        }
+      }
+    }
+    (chosen.valuesIterator.toVector, borderline.toSet)
+  }
+
   test("run: sampled set is a subset of the input without duplicates") {
     val data = TestData.twoBlobs(80, sep = 4.0, seed = 30)
     val res = GBABS.run(data, seed = 31)

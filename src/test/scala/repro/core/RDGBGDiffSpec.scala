@@ -1,0 +1,106 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
+import repro.SparkSpec
+import repro.data.DatasetGen
+
+/** Differential gate: `RDGBG.generate` must return exactly what the original
+  * implementation (`RDGBGReference`) returns — the same balls in the same
+  * order with the same centers, radii, labels and member order, and the
+  * same noise in the same order.
+  */
+class RDGBGDiffSpec extends SparkSpec {
+  import RDGBGDiffSpec._
+
+  private def check(name: String, prop: Prop, tests: Int): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(20250417L), prop)
+    assert(res.passed, s"$name: ${Pretty.pretty(res)}")
+  }
+
+  test("property: identical to the reference on quantized, tie-heavy data") {
+    check("quantized", Prop.forAllNoShrink(cases(quantized)) { case (data, rho, seed) => same(data, rho, seed) }, 300)
+  }
+
+  test("property: identical to the reference in one dimension") {
+    check("p = 1", Prop.forAllNoShrink(cases(quantized.map(_.copy(p = 1)))) { case (data, rho, seed) =>
+      same(data, rho, seed)
+    }, 200)
+  }
+
+  test("property: identical to the reference with duplicate points of conflicting labels") {
+    check("duplicates", Prop.forAllNoShrink(cases(duplicated)) { case (data, rho, seed) => same(data, rho, seed) }, 200)
+  }
+
+  test("property: identical to the reference with one sample per class, or a single class") {
+    val oneEach = Gen.choose(1, 6).map(q => Layout(n = q, p = 2, classes = q, levels = 3, oneEach = true))
+    val single = Gen.choose(1, 40).map(n => Layout(n, p = 2, classes = 1, levels = 4))
+    check("degenerate classes", Prop.forAllNoShrink(cases(Gen.oneOf(oneEach, single))) { case (data, rho, seed) =>
+      same(data, rho, seed)
+    }, 200)
+  }
+
+  test("property: identical to the reference on continuous data, rho up to beyond n") {
+    val continuous = for (n <- Gen.choose(2, 60); p <- Gen.choose(1, 5); q <- Gen.choose(2, 4))
+      yield Layout(n, p, q, levels = 0)
+    val bigRho = for ((data, _, seed) <- cases(continuous); extra <- Gen.choose(0, 5)) yield (data, data.size + extra, seed)
+    check("continuous", Prop.forAllNoShrink(cases(continuous)) { case (data, rho, seed) => same(data, rho, seed) }, 200)
+    check("rho > n", Prop.forAllNoShrink(bigRho) { case (data, rho, seed) => same(data, math.max(2, rho), seed) }, 100)
+  }
+
+  test("identical to the reference on all 13 datasets at 0 and 20 % noise (maxN = 400)") {
+    for (i <- DatasetGen.specs.indices; nz <- Seq(0.0, 0.2)) {
+      val clean = DatasetGen.generate(DatasetGen.specs(i), 400, 48, seed = 7)
+      val data = DatasetGen.standardize(DatasetGen.withNoise(clean, nz, 49 + i), Vector.empty)._1
+      assert(same(data, 5, 42 + i), s"${DatasetGen.specs(i).id} at noise $nz")
+    }
+  }
+}
+
+object RDGBGDiffSpec {
+
+  /** Shape of a generated dataset. `levels > 0` quantizes every feature to
+    * that many integer levels (many exact distance ties); `oneEach` gives
+    * every class exactly one sample.
+    */
+  final case class Layout(n: Int, p: Int, classes: Int, levels: Int, oneEach: Boolean = false)
+
+  val quantized: Gen[Layout] =
+    for (n <- Gen.choose(1, 60); p <- Gen.choose(1, 4); q <- Gen.choose(1, 4); lv <- Gen.choose(2, 5))
+      yield Layout(n, p, q, lv)
+
+  /** Few distinct positions, so exact duplicate points carry conflicting labels. */
+  val duplicated: Gen[Layout] =
+    for (n <- Gen.choose(2, 50); p <- Gen.choose(1, 3); q <- Gen.choose(2, 3)) yield Layout(n, p, q, levels = 2)
+
+  /** Data for a layout, ρ in [2, 9] and an RD-GBG seed. Ids are distinct
+    * but shuffled, so id order differs from data order.
+    */
+  def cases(layout: Gen[Layout]): Gen[(Vector[Point], Int, Long)] =
+    for {
+      l <- layout
+      rows <- Gen.listOfN(l.n, Gen.zip(
+        Gen.listOfN(l.p, if (l.levels > 0) Gen.choose(0, l.levels - 1).map(_.toDouble) else Gen.choose(-3.0, 3.0)),
+        Gen.choose(0, l.classes - 1)))
+      ids <- Gen.pick(l.n, 0L until 10L * l.n)
+      shuffle <- Gen.long
+      rho <- Gen.choose(2, 9)
+      seed <- Gen.choose(0L, 1000L)
+    } yield {
+      val shuffled = new scala.util.Random(shuffle).shuffle(ids.toVector)
+      val data = rows.zipWithIndex.map { case ((x, y), i) =>
+        Point(x.toArray, if (l.oneEach) i % l.classes else y, shuffled(i))
+      }.toVector
+      (data, rho, seed)
+    }
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+  private def ballKey(b: GranularBall) = (b.center.toVector.map(bits), bits(b.radius), b.label, b.points.map(_.id))
+
+  /** Exact equality of the ordered balls and noise against the reference. */
+  def same(data: Vector[Point], rho: Int, seed: Long): Boolean = {
+    val got = RDGBG.generate(data, rho, seed)
+    val want = RDGBGReference.generate(data, rho, seed)
+    got.balls.map(ballKey) == want.balls.map(ballKey) && got.noise.map(_.id) == want.noise.map(_.id)
+  }
+}

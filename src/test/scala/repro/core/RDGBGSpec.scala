@@ -100,6 +100,28 @@ class RDGBGSpec extends SparkSpec {
     intercept[IllegalArgumentException] { RDGBG.generate(TestData.pts1d((0.0, 0)), rho = 1) }
   }
 
+  test("duplicate ids are rejected, naming the id") {
+    val data = TestData.pts1d((0.0, 0), (1.0, 1), (2.0, 0)) :+ Point(Array(3.0), 1, 1L)
+    val e = intercept[IllegalArgumentException] { RDGBG.generate(data) }
+    assert(e.getMessage.contains("duplicate sample id 1"))
+  }
+
+  test("ragged feature arrays are rejected, naming the first offending id") {
+    val data = TestData.pts((Seq(0.0, 0.0), 0), (Seq(1.0, 1.0), 1), (Seq(2.0), 0), (Seq(3.0), 1))
+    val e = intercept[IllegalArgumentException] { RDGBG.generate(data) }
+    assert(e.getMessage.contains("sample id 2 "))
+    assert(e.getMessage.contains("ragged"))
+  }
+
+  test("NaN and infinite feature values are rejected, naming the first offending id") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val data = TestData.pts((Seq(0.0, 0.0), 0), (Seq(1.0, 1.0), 1), (Seq(2.0, bad), 0), (Seq(bad, 3.0), 1))
+      val e = intercept[IllegalArgumentException] { RDGBG.generate(data) }
+      assert(e.getMessage.contains("sample id 2 "), s"value $bad")
+      assert(e.getMessage.contains("NaN or infinite"), s"value $bad")
+    }
+  }
+
   test("determinism: same seed, same result") {
     val data = TestData.blobs(3, 30)
     val a = RDGBG.generate(data, seed = 9)

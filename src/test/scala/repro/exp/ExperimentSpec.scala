@@ -85,6 +85,28 @@ class ExperimentSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("runCell equals a replay that runs GBABS separately for the SRS ratio and the GBABS method") {
+    val learners = Experiment.learners(cfg)
+    for (key <- Seq(CellKey(1, 0.1, 1), CellKey(4, 0.2, 0));
+         (methods, ls) <- Seq(Experiment.coreMethods -> learners, Experiment.imbalancedMethods -> dtOnly)) {
+      val (spec, train, test) = Experiment.foldData(key, cfg)
+      val seed = Experiment.cellSeed(cfg, key)
+      val gbabs = repro.core.GBABS.run(train, cfg.rho, seed)
+      val gbabsRatio = if (gbabs.sampled.isEmpty) 1.0 else gbabs.samplingRatio
+      val replay = for {
+        m <- methods
+        (sampled, ratio) = Experiment.applyMethod(m, train, spec, cfg, seed, gbabsRatio)
+        l <- ls
+      } yield {
+        val pred = l.fit(sampled, seed).predictAll(test)
+        val actual = test.map(_.label)
+        CellResult(spec.id, key.noise, key.fold, m, l.name,
+          repro.ml.Metrics.accuracy(pred, actual), repro.ml.Metrics.gmean(pred, actual), ratio)
+      }
+      assert(Experiment.runCell(key, cfg, methods, ls) == replay, s"cell $key, methods $methods")
+    }
+  }
+
   test("the five learners of Table IV are DT, XGBoost, LightGBM, kNN, RF") {
     assert(Experiment.learners(cfg).map(_.name) ==
       Vector("DT", "XGBoost", "LightGBM", "kNN", "RF"))
