@@ -9,11 +9,10 @@ import repro.exp.{BenchConfig, Tables}
   */
 object JobContext {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   def config(args: Array[String]): BenchConfig = {

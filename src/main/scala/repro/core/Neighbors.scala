@@ -1,0 +1,74 @@
+package repro.core
+
+/** The nearest-neighbour kernel. RD-GBG (Eq. 2's ρ nearest and its
+  * (distance, id) order), the kNN learner, the SMOTE family, Tomek links,
+  * GGBS's surface points and k-division's nearest centroid all search
+  * through it.
+  *
+  * Rows are flat row-major `Array[Double]` matrices, `p` values a row.
+  * Distances are summed left to right (`Point.sqDist` delegates here), so
+  * every caller gets the same bits. Candidates are ordered by (distance,
+  * key), where the caller supplies both arrays: each caller keeps its own
+  * order (ties by id or by row index; squared or `sqrt` distances) by what
+  * it passes in.
+  */
+object Neighbors {
+
+  /** Squared Euclidean distance between the `p` values starting at
+    * `a(aOff)` and those starting at `b(bOff)`, summed left to right.
+    */
+  def sqDist(a: Array[Double], aOff: Int, b: Array[Double], bOff: Int, p: Int): Double = {
+    var s = 0.0; var f = 0
+    while (f < p) { val d = a(aOff + f) - b(bOff + f); s += d * d; f += 1 }
+    s
+  }
+
+  /** True iff candidate `a` comes before `b`: smaller `d`, or equal `d`
+    * and smaller `key`.
+    */
+  def before(a: Int, b: Int, d: Array[Double], key: Array[Long]): Boolean =
+    d(a) < d(b) || (d(a) == d(b) && key(a) < key(b))
+
+  /** Bounded insertion top-k. `buf(0 until size)` holds the at most `k`
+    * best candidates so far, in [[before]] order; offers candidate `j` and
+    * returns the new size.
+    */
+  def offer(buf: Array[Int], size: Int, k: Int, j: Int, d: Array[Double], key: Array[Long]): Int = {
+    val full = size >= k
+    if (full && (k <= 0 || !before(j, buf(k - 1), d, key))) return size
+    var at = if (full) k - 1 else size
+    while (at > 0 && before(j, buf(at - 1), d, key)) { buf(at) = buf(at - 1); at -= 1 }
+    buf(at) = j
+    if (full) size else size + 1
+  }
+
+  /** Indices of the at most `k` rows of `rows` nearest to the query `q`,
+    * by (squared distance, `key`). There are `key.length` rows; row
+    * `exclude` is skipped (-1 skips none).
+    */
+  def kNearest(rows: Array[Double], p: Int, q: Array[Double], k: Int,
+               key: Array[Long], exclude: Int = -1): Array[Int] = {
+    require(q.length == p, s"dimension mismatch: ${q.length} vs $p")
+    val n = key.length
+    val d = new Array[Double](n)
+    val buf = new Array[Int](math.max(0, math.min(k, n)))
+    var size = 0; var j = 0
+    while (j < n) {
+      if (j != exclude) { d(j) = sqDist(rows, j * p, q, 0, p); size = offer(buf, size, buf.length, j, d, key) }
+      j += 1
+    }
+    if (size == buf.length) buf else buf.take(size)
+  }
+
+  /** The features of `pts` as one row-major matrix. */
+  def rows(pts: collection.Seq[Point]): Array[Double] = {
+    val p = pts.headOption.fold(0)(_.dim)
+    val x = new Array[Double](pts.size * p)
+    var off = 0
+    pts.foreach { pt =>
+      require(pt.dim == p, s"dimension mismatch: sample id ${pt.id} has ${pt.dim} values, the first sample has $p")
+      System.arraycopy(pt.features, 0, x, off, p); off += p
+    }
+    x
+  }
+}

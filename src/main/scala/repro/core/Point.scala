@@ -31,9 +31,7 @@ object Point {
   /** Squared Euclidean distance between two coordinate vectors. */
   def sqDist(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"dimension mismatch: ${a.length} vs ${b.length}")
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
+    Neighbors.sqDist(a, 0, b, 0, a.length)
   }
 
   /** Euclidean distance between two coordinate vectors. */

@@ -11,10 +11,13 @@ import scala.util.Random
   * @param p           feature count of the original
   * @param q           class count
   * @param ir          imbalance ratio (majority / minority count)
-  * @param sep         class separation knob; centroids are drawn from
-  *                    N(0, (sep^2/p) I) so separability is roughly
-  *                    dimension-free (calibrated to the paper's baseline
-  *                    accuracy ordering)
+  * @param sep         class separation knob; centroids are axis-anchored
+  *                    (two classes at ±sep/sqrt(2) on the first axis,
+  *                    otherwise class c at ±sep·(1 + 0.7·tier) on axis
+  *                    c mod min(p, q)) plus 0.15·sep Gaussian jitter, so
+  *                    adjacent classes sit about sep·sqrt(2) apart at any p
+  *                    (see `DatasetGen.centroids`; calibrated to the
+  *                    paper's full-data DT accuracy)
   * @param clusters    Gaussian clusters per class (banana-like sets use 2)
   * @param catIdx      indices of integer-quantized ("categorical") columns
   */

@@ -1,6 +1,6 @@
 package repro.gbs
 
-import repro.core.{GranularBall, Point}
+import repro.core.{GranularBall, Neighbors, Point}
 import scala.collection.mutable
 
 /** General GB-based Sampling (GGBS), the primary baseline (Xia et al.).
@@ -19,6 +19,7 @@ object GGBS {
   private[gbs] def sampleLargeBall(ball: GranularBall, p: Int): Vector[Point] = {
     val homo = ball.points.filter(_.label == ball.label)
     if (homo.isEmpty) return Vector.empty
+    val rows = Neighbors.rows(homo); val ids = homo.map(_.id).toArray
     val chosen = mutable.LinkedHashMap.empty[Long, Point]
     var d = 0
     while (d < p) {
@@ -26,7 +27,7 @@ object GGBS {
       while (sign <= 1) {
         val target = ball.center.clone()
         target(d) += sign * ball.radius
-        val best = homo.minBy(pt => (Point.sqDist(pt.features, target), pt.id))
+        val best = homo(Neighbors.kNearest(rows, target.length, target, 1, ids)(0))
         chosen.getOrElseUpdate(best.id, best)
         sign += 2
       }

@@ -1,6 +1,6 @@
 package repro.gbs
 
-import repro.core.{GranularBall, Point}
+import repro.core.{GranularBall, Neighbors, Point}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -49,15 +49,16 @@ object KDivisionGBG {
   private[gbs] def kDivide(pts: Vector[Point], rng: Random): Vector[Vector[Point]] = {
     val byClass = pts.groupBy(_.label)
     if (byClass.size <= 1) return Vector(pts)
-    val centroids = byClass.toVector.sortBy(_._1).map { case (lab, ps) =>
-      val c = new Array[Double](pts.head.dim)
-      ps.foreach { pt => var i = 0; while (i < c.length) { c(i) += pt.features(i); i += 1 } }
-      var i = 0; while (i < c.length) { c(i) /= ps.size; i += 1 }
-      (lab, c)
+    val labs = byClass.keys.toVector.sorted
+    val p = pts.head.dim
+    val centroids = new Array[Double](labs.size * p)
+    labs.indices.foreach { k =>
+      val ps = byClass(labs(k)); val off = k * p
+      ps.foreach { pt => var i = 0; while (i < p) { centroids(off + i) += pt.features(i); i += 1 } }
+      var i = 0; while (i < p) { centroids(off + i) /= ps.size; i += 1 }
     }
-    val assigned = pts.groupBy { pt =>
-      centroids.minBy { case (lab, c) => (Point.sqDist(pt.features, c), lab) }._1
-    }
+    val key = labs.map(_.toLong).toArray
+    val assigned = pts.groupBy(pt => labs(Neighbors.kNearest(centroids, p, pt.features, 1, key)(0)))
     val children = assigned.values.toVector
     if (children.size <= 1) {
       // All samples nearest one centroid — random bisection keeps progress.

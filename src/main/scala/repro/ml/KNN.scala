@@ -1,6 +1,6 @@
 package repro.ml
 
-import repro.core.Point
+import repro.core.{Neighbors, Point}
 
 /** k-nearest-neighbor classifier (brute force, Euclidean, majority vote —
   * scikit-learn defaults: k = 5, uniform weights).
@@ -14,23 +14,16 @@ final case class KNN(k: Int = 5) extends Learner {
   }
 }
 
+/** Votes among the `k` training rows nearest to the query, ties in
+  * distance broken by row index.
+  */
 final class KNNModel(train: Vector[Point], k: Int) extends Classifier {
-  override def predict(x: Array[Double]): Int = {
-    // Partial selection of the k smallest distances via a simple bounded
-    // insertion — train sets here are small, so this is plenty.
-    val bestD = Array.fill(k)(Double.PositiveInfinity)
-    val bestL = new Array[Int](k)
-    var i = 0
-    while (i < train.size) {
-      val d = Point.sqDist(train(i).features, x)
-      if (d < bestD(k - 1)) {
-        var j = k - 1
-        while (j > 0 && bestD(j - 1) > d) { bestD(j) = bestD(j - 1); bestL(j) = bestL(j - 1); j -= 1 }
-        bestD(j) = d; bestL(j) = train(i).label
-      }
-      i += 1
-    }
-    val found = math.min(k, train.size)
-    bestL.take(found).groupBy(identity).maxBy { case (lab, v) => (v.length, -lab) }._1
-  }
+  private val p = train.head.dim
+  private val rows = Neighbors.rows(train)
+  private val order = Array.tabulate(train.size)(_.toLong)
+  private val labels = train.map(_.label).toArray
+
+  override def predict(x: Array[Double]): Int =
+    Neighbors.kNearest(rows, p, x, k, order).map(labels).groupBy(identity)
+      .maxBy { case (lab, v) => (v.length, -lab) }._1
 }

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.Point
+import repro.core.{Neighbors, Point}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -39,12 +39,17 @@ object Smote {
       seeds: Vector[Point], classPts: Vector[Point], cls: Int, need: Int,
       nextId: Long, rng: Random, catIdx: Set[Int]): Vector[Point] = {
     if (need <= 0 || seeds.isEmpty) return Vector.empty
+    val rows = Neighbors.rows(classPts); val ids = classPts.map(_.id).toArray
+    val rowOf = ids.zipWithIndex.toMap
+    // Each seed's K nearest within its class, found on its first draw.
+    val neighbours = mutable.HashMap.empty[Long, Array[Point]]
     val out = Vector.newBuilder[Point]
     var id = nextId
     var made = 0
     while (made < need) {
       val seed = seeds(rng.nextInt(seeds.size))
-      val neigh = Neighbors.kNearest(seed, classPts, K)
+      val neigh = neighbours.getOrElseUpdate(seed.id,
+        Neighbors.kNearest(rows, seed.dim, seed.features, K, ids, exclude = rowOf(seed.id)).map(classPts))
       val x =
         if (neigh.isEmpty) seed.features.clone() // lone sample: duplicate
         else {
@@ -94,11 +99,7 @@ object Smote {
     */
   def borderlineSmote(data: Vector[Point], seed: Long = 42): Vector[Point] =
     oversample(data, new Random(seed), Set.empty, (cls, pts) => {
-      val danger = pts.filter { x =>
-        val neigh = Neighbors.kNearest(x, data, M)
-        val het = neigh.count(_.label != cls)
-        neigh.nonEmpty && het * 2 >= neigh.size && het < neigh.size
-      }
+      val danger = dangerSet(data, cls)
       if (danger.nonEmpty) danger else pts
     })
 
@@ -106,11 +107,15 @@ object Smote {
   def smoteNC(data: Vector[Point], categoricalIdx: Set[Int], seed: Long = 42): Vector[Point] =
     oversample(data, new Random(seed), categoricalIdx, (_, pts) => pts)
 
-  /** DANGER set of a class — exposed for unit tests. */
-  private[sampling] def dangerSet(data: Vector[Point], cls: Int): Vector[Point] =
-    data.filter(_.label == cls).filter { x =>
-      val neigh = Neighbors.kNearest(x, data, M)
-      val het = neigh.count(_.label != cls)
-      neigh.nonEmpty && het * 2 >= neigh.size && het < neigh.size
-    }
+  /** DANGER samples of class `cls`, in data order. */
+  private[sampling] def dangerSet(data: Vector[Point], cls: Int): Vector[Point] = {
+    val rows = Neighbors.rows(data); val ids = data.map(_.id).toArray
+    data.indices.filter { i =>
+      data(i).label == cls && {
+        val neigh = Neighbors.kNearest(rows, data(i).dim, data(i).features, M, ids, exclude = i)
+        val het = neigh.count(data(_).label != cls)
+        neigh.nonEmpty && het * 2 >= neigh.length && het < neigh.length
+      }
+    }.map(data).toVector
+  }
 }

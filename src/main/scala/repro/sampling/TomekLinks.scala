@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.Point
+import repro.core.{Neighbors, Point}
 
 /** Tomek links undersampling (baseline).
   *
@@ -13,7 +13,10 @@ object TomekLinks {
 
   /** All Tomek-link index pairs (i < j) in `data`. */
   def links(data: Vector[Point]): Vector[(Int, Int)] = {
-    val nn = data.indices.map(i => Neighbors.nearestIndex(data, i))
+    val rows = Neighbors.rows(data); val ids = data.map(_.id).toArray
+    val nn = data.indices.map { i =>
+      Neighbors.kNearest(rows, data(i).dim, data(i).features, 1, ids, exclude = i).headOption.getOrElse(-1)
+    }
     data.indices.flatMap { i =>
       val j = nn(i)
       if (j > i && nn(j) == i && data(i).label != data(j).label) Some((i, j)) else None

@@ -50,15 +50,6 @@ class SynthDataSpec extends SparkSpec {
     }
   }
 
-  test("provided TPC-H-lite generators still work (lineitem row count, oracle-checked)") {
-    val li = SynthData.lineitem(spark, sf = 0.001).select("l_returnflag", "l_linestatus").cache()
-    val sparkAgg = li.groupBy("l_returnflag").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT l_returnflag, count(*) AS cnt FROM li GROUP BY l_returnflag",
-      "li" -> li)
-  }
-
   test("pointsToDF round-trips points") {
     val pts = TestData.twoBlobs(20, seed = 5)
     val df = SynthData.pointsToDF(spark, pts)

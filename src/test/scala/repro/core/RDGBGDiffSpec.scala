@@ -8,7 +8,9 @@ import repro.data.DatasetGen
 /** Differential gate: `RDGBG.generate` must return exactly what the original
   * implementation (`RDGBGReference`) returns — the same balls in the same
   * order with the same centers, radii, labels and member order, and the
-  * same noise in the same order.
+  * same noise in the same order. Every case also checks the ball
+  * invariants: purity 1.0, coverage, no overlap, and balls ∪ noise = D with
+  * no id twice.
   */
 class RDGBGDiffSpec extends SparkSpec {
   import RDGBGDiffSpec._
@@ -19,24 +21,24 @@ class RDGBGDiffSpec extends SparkSpec {
   }
 
   test("property: identical to the reference on quantized, tie-heavy data") {
-    check("quantized", Prop.forAllNoShrink(cases(quantized)) { case (data, rho, seed) => same(data, rho, seed) }, 300)
+    check("quantized", Prop.forAllNoShrink(cases(quantized)) { case (data, rho, seed) => sameAndValid(data, rho, seed) }, 300)
   }
 
   test("property: identical to the reference in one dimension") {
     check("p = 1", Prop.forAllNoShrink(cases(quantized.map(_.copy(p = 1)))) { case (data, rho, seed) =>
-      same(data, rho, seed)
+      sameAndValid(data, rho, seed)
     }, 200)
   }
 
   test("property: identical to the reference with duplicate points of conflicting labels") {
-    check("duplicates", Prop.forAllNoShrink(cases(duplicated)) { case (data, rho, seed) => same(data, rho, seed) }, 200)
+    check("duplicates", Prop.forAllNoShrink(cases(duplicated)) { case (data, rho, seed) => sameAndValid(data, rho, seed) }, 200)
   }
 
   test("property: identical to the reference with one sample per class, or a single class") {
     val oneEach = Gen.choose(1, 6).map(q => Layout(n = q, p = 2, classes = q, levels = 3, oneEach = true))
     val single = Gen.choose(1, 40).map(n => Layout(n, p = 2, classes = 1, levels = 4))
     check("degenerate classes", Prop.forAllNoShrink(cases(Gen.oneOf(oneEach, single))) { case (data, rho, seed) =>
-      same(data, rho, seed)
+      sameAndValid(data, rho, seed)
     }, 200)
   }
 
@@ -44,15 +46,15 @@ class RDGBGDiffSpec extends SparkSpec {
     val continuous = for (n <- Gen.choose(2, 60); p <- Gen.choose(1, 5); q <- Gen.choose(2, 4))
       yield Layout(n, p, q, levels = 0)
     val bigRho = for ((data, _, seed) <- cases(continuous); extra <- Gen.choose(0, 5)) yield (data, data.size + extra, seed)
-    check("continuous", Prop.forAllNoShrink(cases(continuous)) { case (data, rho, seed) => same(data, rho, seed) }, 200)
-    check("rho > n", Prop.forAllNoShrink(bigRho) { case (data, rho, seed) => same(data, math.max(2, rho), seed) }, 100)
+    check("continuous", Prop.forAllNoShrink(cases(continuous)) { case (data, rho, seed) => sameAndValid(data, rho, seed) }, 200)
+    check("rho > n", Prop.forAllNoShrink(bigRho) { case (data, rho, seed) => sameAndValid(data, math.max(2, rho), seed) }, 100)
   }
 
   test("identical to the reference on all 13 datasets at 0 and 20 % noise (maxN = 400)") {
     for (i <- DatasetGen.specs.indices; nz <- Seq(0.0, 0.2)) {
       val clean = DatasetGen.generate(DatasetGen.specs(i), 400, 48, seed = 7)
       val data = DatasetGen.standardize(DatasetGen.withNoise(clean, nz, 49 + i), Vector.empty)._1
-      assert(same(data, 5, 42 + i), s"${DatasetGen.specs(i).id} at noise $nz")
+      assert(sameAndValid(data, 5, 42 + i), s"${DatasetGen.specs(i).id} at noise $nz")
     }
   }
 }
@@ -97,10 +99,24 @@ object RDGBGDiffSpec {
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
   private def ballKey(b: GranularBall) = (b.center.toVector.map(bits), bits(b.radius), b.label, b.points.map(_.id))
 
-  /** Exact equality of the ordered balls and noise against the reference. */
-  def same(data: Vector[Point], rho: Int, seed: Long): Boolean = {
+  /** Exact equality of the ordered balls and noise against the reference,
+    * and the ball invariants of the result.
+    */
+  def sameAndValid(data: Vector[Point], rho: Int, seed: Long): Boolean = {
     val got = RDGBG.generate(data, rho, seed)
     val want = RDGBGReference.generate(data, rho, seed)
-    got.balls.map(ballKey) == want.balls.map(ballKey) && got.noise.map(_.id) == want.noise.map(_.id)
+    got.balls.map(ballKey) == want.balls.map(ballKey) && got.noise.map(_.id) == want.noise.map(_.id) &&
+      valid(data, got)
+  }
+
+  /** Purity 1.0, every member within its ball, no two balls overlapping,
+    * and every sample in exactly one ball or the noise.
+    */
+  def valid(data: Vector[Point], res: RDGBGResult): Boolean = {
+    val balls = res.balls
+    val kept = balls.flatMap(_.points.map(_.id)) ++ res.noise.map(_.id)
+    balls.forall(b => b.purity == 1.0 && b.covers()) &&
+      balls.indices.forall(i => balls.indices.forall(j => j <= i || !balls(i).overlaps(balls(j)))) &&
+      kept.size == data.size && kept.toSet == data.map(_.id).toSet
   }
 }

@@ -2,11 +2,11 @@ package repro.sampling
 
 import repro.core.Point
 
-/** Brute-force nearest-neighbor search helpers shared by the SMOTE family
-  * and Tomek links. Datasets here are at most a few thousand samples, so
-  * O(n^2) scans are the simplest correct substrate.
+/** The neighbour searches that SMOTE, Borderline-SMOTE and Tomek links used
+  * before `repro.core.Neighbors`, kept verbatim as the reference of
+  * `NeighborsDiffSpec`.
   */
-object Neighbors {
+object NeighborsReference {
 
   /** The `k` nearest points to `x` within `pool`, excluding any point with
     * the same id as `x`; ties broken by id for determinism.
