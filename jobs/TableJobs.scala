@@ -5,7 +5,8 @@ import repro.exp.{BenchConfig, Tables}
 
 /** Shared session/config plumbing for the per-table spark-submit jobs.
   *
-  * Optional args: `--maxN <int> --maxP <int> --folds <int> --rho <int>`.
+  * Optional args: `--maxN <int> --maxP <int> --folds <int> --rho <int>`;
+  * a missing one keeps its `BenchConfig` default.
   */
 object JobContext {
   def session(name: String): SparkSession =
@@ -17,12 +18,10 @@ object JobContext {
 
   def config(args: Array[String]): BenchConfig = {
     val kv = args.sliding(2, 2).collect { case Array(k, v) => (k, v) }.toMap
-    BenchConfig(
-      maxN = kv.getOrElse("--maxN", "3000").toInt,
-      maxP = kv.getOrElse("--maxP", "48").toInt,
-      folds = kv.getOrElse("--folds", "5").toInt,
-      rho = kv.getOrElse("--rho", "5").toInt,
-    )
+    def int(key: String, default: Int): Int = kv.get(key).fold(default)(_.toInt)
+    val d = BenchConfig()
+    d.copy(maxN = int("--maxN", d.maxN), maxP = int("--maxP", d.maxP),
+      folds = int("--folds", d.folds), rho = int("--rho", d.rho))
   }
 }
 

@@ -40,12 +40,21 @@ object GGBS {
   def sample(data: Vector[Point], purityThreshold: Double = 1.0, seed: Long = 42): Vector[Point] = {
     if (data.isEmpty) return Vector.empty
     val p = data.head.dim
-    val balls = KDivisionGBG.generate(data, purityThreshold, seed)
+    undersample(KDivisionGBG.generate(data, purityThreshold, seed), p)(sampleLargeBall(_, p))
+      .valuesIterator.toVector
+  }
+
+  /** The per-ball loop GGBS and IGBS share: a small ball (|GB| <= 2p) adds
+    * all of its samples, a large one adds `large(ball)`; samples are kept
+    * once per id, in ball order.
+    */
+  private[gbs] def undersample(balls: Vector[GranularBall], p: Int)(
+      large: GranularBall => Vector[Point]): mutable.LinkedHashMap[Long, Point] = {
     val chosen = mutable.LinkedHashMap.empty[Long, Point]
     balls.foreach { ball =>
-      val picked = if (ball.size <= 2 * p) ball.points else sampleLargeBall(ball, p)
+      val picked = if (ball.size <= 2 * p) ball.points else large(ball)
       picked.foreach(pt => chosen.getOrElseUpdate(pt.id, pt))
     }
-    chosen.valuesIterator.toVector
+    chosen
   }
 }

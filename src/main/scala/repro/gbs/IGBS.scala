@@ -1,7 +1,6 @@
 package repro.gbs
 
 import repro.core.Point
-import scala.collection.mutable
 import scala.util.Random
 
 /** GB-based Sampling for imbalanced datasets (IGBS), baseline.
@@ -24,14 +23,8 @@ object IGBS {
     val counts = data.groupBy(_.label).view.mapValues(_.size).toMap
     val majority = counts.maxBy { case (lab, c) => (c, -lab) }._1
 
-    val balls = KDivisionGBG.generate(data, purityThreshold, seed)
-    val chosen = mutable.LinkedHashMap.empty[Long, Point]
-    balls.foreach { ball =>
-      val picked =
-        if (ball.size <= 2 * p) ball.points
-        else if (ball.label != majority) ball.points.filter(_.label != majority)
-        else GGBS.sampleLargeBall(ball, p)
-      picked.foreach(pt => chosen.getOrElseUpdate(pt.id, pt))
+    val chosen = GGBS.undersample(KDivisionGBG.generate(data, purityThreshold, seed), p) { ball =>
+      if (ball.label != majority) ball.points.filter(_.label != majority) else GGBS.sampleLargeBall(ball, p)
     }
 
     // Rebalance: top the majority class back up to the largest minority count.

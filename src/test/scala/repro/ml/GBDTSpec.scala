@@ -64,8 +64,22 @@ class GBDTSpec extends SparkSpec {
 
   test("leaf-wise trees respect the leaf budget indirectly (no runaway)") {
     val data = TestData.twoBlobs(200, sep = 0.5, seed = 10)
-    val m = GBDT(name = "tiny", rounds = 3, leafWise = true, maxLeaves = 2).fit(data, 0)
-    assert(m.predictAll(data).toSet.subsetOf(Set(0, 1)))
+    def trees(g: GBDT) = g.fit(data, 0).asInstanceOf[GBDTModel].trees.flatten
+    def leaves(n: TreeNode): Int = n match {
+      case Leaf(_)           => 1
+      case Split(_, _, l, r) => leaves(l) + leaves(r)
+    }
+    def depth(n: TreeNode): Int = n match {
+      case Leaf(_)           => 0
+      case Split(_, _, l, r) => 1 + math.max(depth(l), depth(r))
+    }
+    val tiny = GBDT(name = "tiny", rounds = 3, maxDepth = Int.MaxValue, maxLeaves = 2)
+    assert(tiny.fit(data, 0).predictAll(data).toSet.subsetOf(Set(0, 1)))
+    // Each cap binds: the largest tree reaches it and no tree passes it.
+    assert(trees(tiny).map(leaves).max == 2)
+    assert(trees(tiny.copy(maxDepth = 2, maxLeaves = Int.MaxValue)).map(depth).max == 2)
+    assert(trees(GBDT.xgboostLike(5)).map(depth).max <= 5)
+    assert(trees(GBDT.lightgbmLike(5)).map(leaves).max <= 15)
   }
 
   test("empty training is rejected") {
