@@ -17,12 +17,7 @@ class SamplingRatioBench extends SparkSpec {
     val ratios = Tables.samplingRatios(spark, cfg, noises)
     val secs = (System.nanoTime() - t0) / 1e9
     println(f"\n== Sampling ratio GBABS/GGBS per dataset & noise (Fig 6 data) — ${secs}%.1f s ==")
-    println(f"${"Dataset"}%-8s" + noises.map(nz => f"${s"${(nz * 100).toInt}%"}%14s").mkString)
-    DatasetGen.specs.foreach { spec =>
-      println(f"${spec.id}%-8s" + noises.map { nz =>
-        val (g, b) = ratios((spec.id, nz)); f"${f"$g%.2f/$b%.2f"}%14s"
-      }.mkString)
-    }
+    println(Tables.formatSamplingRatios(ratios, noises))
 
     ratios.values.foreach { case (g, b) =>
       assert(g > 0.0 && g <= 1.0)

@@ -6,7 +6,8 @@ import repro.exp.{BenchConfig, Tables}
 /** Shared session/config plumbing for the per-table spark-submit jobs.
   *
   * Optional args: `--maxN <int> --maxP <int> --folds <int> --rho <int>`;
-  * a missing one keeps its `BenchConfig` default.
+  * a missing one keeps its `BenchConfig` default. An unknown flag or a flag
+  * without a value throws `IllegalArgumentException`.
   */
 object JobContext {
   def session(name: String): SparkSession =
@@ -16,8 +17,14 @@ object JobContext {
       .config("spark.sql.shuffle.partitions", "64")
       .getOrCreate()
 
+  private val flags = Set("--maxN", "--maxP", "--folds", "--rho")
+
   def config(args: Array[String]): BenchConfig = {
-    val kv = args.sliding(2, 2).collect { case Array(k, v) => (k, v) }.toMap
+    val kv = args.grouped(2).map { pair =>
+      require(flags(pair(0)), s"unknown flag: ${pair(0)}")
+      require(pair.length == 2, s"missing value for flag: ${pair(0)}")
+      pair(0) -> pair(1)
+    }.toMap
     def int(key: String, default: Int): Int = kv.get(key).fold(default)(_.toInt)
     val d = BenchConfig()
     d.copy(maxN = int("--maxN", d.maxN), maxP = int("--maxP", d.maxP),
@@ -76,12 +83,7 @@ object SamplingRatio {
     val noises = 0.0 +: Tables.noiseRatios
     val ratios = Tables.samplingRatios(spark, cfg, noises)
     println("== Sampling ratio GBABS vs GGBS per dataset/noise (Fig 6 data) ==")
-    println(f"${"Dataset"}%-8s" + noises.map(nz => f"${s"${(nz * 100).toInt}% GBABS/GGBS"}%16s").mkString)
-    repro.data.DatasetGen.specs.foreach { spec =>
-      println(f"${spec.id}%-8s" + noises.map { nz =>
-        val (g, b) = ratios((spec.id, nz)); f"${f"$g%.2f/$b%.2f"}%16s"
-      }.mkString)
-    }
+    println(Tables.formatSamplingRatios(ratios, noises))
     spark.stop()
   }
 }

@@ -36,8 +36,4 @@ object Point {
 
   /** Euclidean distance between two coordinate vectors. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
-
-  /** Build points from raw rows, assigning sequential ids. */
-  def fromRows(rows: Seq[(Array[Double], Int)]): Vector[Point] =
-    rows.zipWithIndex.map { case ((x, y), i) => Point(x, y, i.toLong) }.toVector
 }

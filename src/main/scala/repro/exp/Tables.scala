@@ -18,6 +18,10 @@ object Tables {
 
   private def mean(xs: Iterable[Double]): Double = xs.sum / xs.size
 
+  /** Mean of `metric` per `key`; a group keeps the results' order, so it sums as a filter would. */
+  private[exp] def means[K](results: Vector[CellResult], metric: CellResult => Double)(key: CellResult => K): Map[K, Double] =
+    results.groupBy(key).map { case (k, rs) => k -> mean(rs.map(metric)) }
+
   // ----------------------------------------------------------------- Table I
 
   /** Table I row: dataset alias, N, p, q, IR at bench scale. */
@@ -47,11 +51,9 @@ object Tables {
   def tableII(spark: SparkSession, cfg: BenchConfig): Vector[(String, Map[String, Double])] = {
     val keys = Experiment.gridKeys(cfg, Seq(0.0))
     val results = Experiment.runGrid(spark, keys, cfg, Experiment.coreMethods, dt(cfg))
+    val acc = means(results, _.acc)(r => (r.specId, r.method))
     DatasetGen.specs.map { spec =>
-      val byMethod = Experiment.coreMethods.map { m =>
-        m -> mean(results.filter(r => r.specId == spec.id && r.method == m).map(_.acc))
-      }.toMap
-      spec.id -> byMethod
+      spec.id -> Experiment.coreMethods.map(m => m -> acc((spec.id, m))).toMap
     }
   }
 
@@ -105,12 +107,7 @@ object Tables {
     val keys = Experiment.gridKeys(cfg, noiseRatios)
     val learners = Experiment.learners(cfg)
     val results = Experiment.runGrid(spark, keys, cfg, Experiment.coreMethods, learners)
-    (for {
-      l <- learners.map(_.name)
-      m <- Experiment.coreMethods
-      nz <- noiseRatios
-    } yield (l, m, nz) ->
-      mean(results.filter(r => r.learner == l && r.method == m && r.noise == nz).map(_.acc))).toMap
+    means(results, _.acc)(r => (r.learner, r.method, r.noise))
   }
 
   def formatTableIV(cells: Map[(String, String, Double), Double], learnerNames: Seq[String]): String = {
@@ -138,14 +135,19 @@ object Tables {
                      noises: Seq[Double]): Map[(String, Double), (Double, Double)] = {
     val keys = Experiment.gridKeys(cfg, noises)
     val results = Experiment.runGrid(spark, keys, cfg, Vector("GBABS", "GGBS"), dt(cfg))
-    (for {
-      spec <- DatasetGen.specs
-      nz <- noises
-    } yield {
-      def ratioOf(m: String) =
-        mean(results.filter(r => r.specId == spec.id && r.noise == nz && r.method == m).map(_.ratio))
-      (spec.id, nz) -> (ratioOf("GBABS"), ratioOf("GGBS"))
+    val ratio = means(results, _.ratio)(r => (r.specId, r.noise, r.method))
+    DatasetGen.specs.flatMap(spec => noises.map { nz =>
+      (spec.id, nz) -> (ratio((spec.id, nz, "GBABS")), ratio((spec.id, nz, "GGBS")))
     }).toMap
+  }
+
+  /** One row per dataset, one "GBABS/GGBS" ratio column per noise ratio. */
+  def formatSamplingRatios(ratios: Map[(String, Double), (Double, Double)], noises: Seq[Double]): String = {
+    val header = f"${"Dataset"}%-8s" + noises.map(nz => f"${s"${(nz * 100).toInt}% GBABS/GGBS"}%16s").mkString
+    val body = DatasetGen.specs.map { spec =>
+      f"${spec.id}%-8s" + noises.map(nz => ratios((spec.id, nz))).map { case (g, b) => f"${f"$g%.2f/$b%.2f"}%16s" }.mkString
+    }
+    (header +: body).mkString("\n")
   }
 
   /** Mean rank (1 = best) of each method's DT G-mean over the datasets —
@@ -154,10 +156,9 @@ object Tables {
   def gmeanRanking(spark: SparkSession, cfg: BenchConfig, noise: Double = 0.0): Map[String, Double] = {
     val keys = Experiment.gridKeys(cfg, Seq(noise))
     val results = Experiment.runGrid(spark, keys, cfg, Experiment.imbalancedMethods, dt(cfg))
+    val gmean = means(results, _.gmean)(r => (r.specId, r.method))
     val perDataset = DatasetGen.specs.map { spec =>
-      Experiment.imbalancedMethods.map { m =>
-        m -> mean(results.filter(r => r.specId == spec.id && r.method == m).map(_.gmean))
-      }
+      Experiment.imbalancedMethods.map(m => m -> gmean((spec.id, m)))
     }
     val ranks = perDataset.map { ms =>
       // rank by descending G-mean; ties share the mean rank

@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Point
 import scala.util.Random
 
@@ -13,6 +14,12 @@ object TestData {
   /** 1D points from (x, label) pairs. */
   def pts1d(rows: (Double, Int)*): Vector[Point] =
     rows.zipWithIndex.map { case ((x, y), i) => Point(Array(x), y, i.toLong) }.toVector
+
+  /** Points as the (id, features, label) DataFrame that `SparkGBABS` reads. */
+  def pointsToDF(spark: SparkSession, pts: Seq[Point]): DataFrame = {
+    import spark.implicits._
+    pts.map(pt => (pt.id, pt.features.toSeq, pt.label)).toDF("id", "features", "label")
+  }
 
   /** Two well-separated Gaussian blobs in `dim` dimensions. */
   def twoBlobs(n: Int, dim: Int = 2, sep: Double = 6.0, seed: Long = 1): Vector[Point] = {

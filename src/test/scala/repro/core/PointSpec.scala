@@ -37,12 +37,6 @@ class PointSpec extends SparkSpec {
     assert(a != c)
   }
 
-  test("fromRows assigns sequential ids") {
-    val ps = Point.fromRows(Seq((Array(1.0), 0), (Array(2.0), 1)))
-    assert(ps.map(_.id) == Vector(0L, 1L))
-    assert(ps.map(_.label) == Vector(0, 1))
-  }
-
   test("dim reports feature count") {
     assert(Point(Array(1.0, 2.0, 3.0), 0, 0).dim == 3)
   }

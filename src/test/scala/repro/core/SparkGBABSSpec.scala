@@ -1,22 +1,36 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData, TestData}
+import repro.{SparkSpec, TestData}
 
 class SparkGBABSSpec extends SparkSpec {
 
   private lazy val data = TestData.twoBlobs(120, sep = 8.0, seed = 50)
-  private lazy val df = SynthData.pointsToDF(spark, data).cache()
+  private lazy val df = TestData.pointsToDF(spark, data).cache()
+
+  private def ids(sampled: DataFrame): Set[Long] =
+    sampled.select("id").collect().map(_.getLong(0)).toSet
+
+  private def bits(xs: Array[Double]): Seq[Long] =
+    xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   test("pointsToDF preserves schema and size") {
     assert(df.columns.toSeq == Seq("id", "features", "label"))
     assert(df.count() == data.size)
   }
 
+  test("pointsToDF round-trips points") {
+    val pts = TestData.twoBlobs(20, seed = 5)
+    val back = TestData.pointsToDF(spark, pts).orderBy("id").collect()
+    assert(back.length == 20)
+    assert(back.map(_.getLong(0)).toSeq == pts.sortBy(_.id).map(_.id))
+    assert(back.map(_.getInt(2)).toSeq == pts.sortBy(_.id).map(_.label))
+  }
+
   test("sampleExact returns the sequential GBABS result") {
     val local = GBABS.run(data, rho = 5, seed = 42).sampled.map(_.id).toSet
-    val viaSpark = SparkGBABS.sampleExact(df, rho = 5, seed = 42)
-      .select("id").collect().map(_.getLong(0)).toSet
+    val viaSpark = ids(SparkGBABS.sampleExact(df, rho = 5, seed = 42))
     assert(viaSpark == local,
       s"spark-exact (${viaSpark.size}) must equal sequential GBABS (${local.size})")
   }
@@ -40,29 +54,28 @@ class SparkGBABSSpec extends SparkSpec {
   }
 
   test("single-partition determinism") {
-    val a = SparkGBABS.sampleExact(df, seed = 3).select("id").collect().map(_.getLong(0)).toSet
-    val b = SparkGBABS.sampleExact(df, seed = 3).select("id").collect().map(_.getLong(0)).toSet
+    val a = ids(SparkGBABS.sampleExact(df, seed = 3))
+    val b = ids(SparkGBABS.sampleExact(df, seed = 3))
     assert(a == b)
   }
 
-  test("oracle: per-class counts of the sampled set match DuckDB") {
-    val sampled = SparkGBABS.sampleExact(df, seed = 4).select("id", "label").cache()
-    val sparkAgg = sampled.groupBy("label").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT label, count(*) AS cnt FROM samp GROUP BY label",
-      "samp" -> sampled)
+  test("per-class counts of sampleExact match sequential GBABS") {
+    val viaSpark = SparkGBABS.sampleExact(df, seed = 4).groupBy("label").count()
+      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+    val local = GBABS.run(data, rho = 5, seed = 4).sampled
+      .groupBy(_.label).map { case (y, ps) => y -> ps.size.toLong }
+    assert(viaSpark == local)
   }
 
-  test("oracle: sampled ids all exist in the original dataset") {
-    val sampled = SparkGBABS.sampleExact(df, seed = 5).select("id", "label")
-    val orig = df.select(col("id") as "oid", col("label") as "olabel")
-    val sparkAgg = sampled.join(orig, sampled("id") === orig("oid") && sampled("label") === orig("olabel"))
-      .agg(count(lit(1)) as "matched")
-    Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT count(*) AS matched FROM samp s JOIN orig o ON s.id = o.oid AND s.label = o.olabel",
-      "samp" -> sampled, "orig" -> orig)
+  test("sampled rows keep the input's label and feature bits") {
+    val byId = data.map(p => p.id -> p).toMap
+    val rows = SparkGBABS.asRows(SparkGBABS.sample(df.repartition(3), seed = 5)).collect()
+    assert(rows.nonEmpty)
+    rows.foreach { r =>
+      val p = byId(r.id)
+      assert(r.label == p.label, s"id ${r.id}: label changed")
+      assert(bits(r.features) == bits(p.features), s"id ${r.id}: features changed")
+    }
   }
 
   test("multi-partition union is still pure-subset and deduplicated per partition run") {
@@ -70,5 +83,17 @@ class SparkGBABSSpec extends SparkSpec {
     val n = sampled.count()
     val distinct = sampled.distinct().count()
     assert(n == distinct, "partitions are disjoint so sampled ids cannot repeat")
+  }
+
+  test("multi-partition output equals the union of per-partition GBABS runs") {
+    val parts = df.repartition(3).cache()
+    val viaSpark = ids(SparkGBABS.sample(parts, seed = 7))
+    val perPartition = SparkGBABS.asRows(parts).rdd.mapPartitionsWithIndex { (pid, it) =>
+      val pts = it.map(r => Point(r.features, r.label, r.id)).toVector
+      if (pts.isEmpty) Iterator.empty
+      else GBABS.run(pts, rho = 5, seed = 7 + pid).sampled.iterator.map(_.id)
+    }.collect().toSet
+    parts.unpersist()
+    assert(viaSpark == perPartition)
   }
 }
