@@ -61,29 +61,36 @@ object GBABS {
     (chosen.valuesIterator.toVector, borderline.toSet)
   }
 
-  /** Indices of `values` in `java.lang.Double.compare` order, ties by index.
-    * Equal values share their rank in a sorted copy; each index is packed
-    * below its rank so one primitive sort gives the order.
-    */
+  /** Indices of `values` in [[ranks]] order, ties by index (packed below the rank). */
   private[core] def orderAlong(values: Array[Double]): Array[Int] = {
-    val sorted = values.clone()
-    java.util.Arrays.sort(sorted)
+    val rank = ranks(values)
     val keys = new Array[Long](values.length)
     var i = 0
-    while (i < keys.length) {
+    while (i < keys.length) { keys(i) = (rank(i).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(keys)
+    i = 0
+    while (i < keys.length) { rank(i) = keys(i).toInt; i += 1 } // the ranks become the order
+    rank
+  }
+
+  /** Each value's first position in a copy of `values` sorted in
+    * `java.lang.Double.compare` order, so equal values share their rank.
+    */
+  private[repro] def ranks(values: Array[Double]): Array[Int] = {
+    val sorted = values.clone()
+    java.util.Arrays.sort(sorted)
+    val rank = new Array[Int](values.length)
+    var i = 0
+    while (i < rank.length) {
       var lo = 0; var hi = sorted.length // first position not below values(i)
       while (lo < hi) {
         val mid = (lo + hi) >>> 1
         if (java.lang.Double.compare(sorted(mid), values(i)) < 0) lo = mid + 1 else hi = mid
       }
-      keys(i) = (lo.toLong << 32) | i
+      rank(i) = lo
       i += 1
     }
-    java.util.Arrays.sort(keys)
-    val order = new Array[Int](keys.length)
-    i = 0
-    while (i < keys.length) { order(i) = keys(i).toInt; i += 1 }
-    order
+    rank
   }
 
   /** Full pipeline: RD-GBG granulation then borderline sampling.

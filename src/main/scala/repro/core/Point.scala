@@ -36,4 +36,13 @@ object Point {
 
   /** Euclidean distance between two coordinate vectors. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
+
+  /** Rejects a missing or ragged feature array or a NaN or infinite value, naming the first such id. */
+  private[repro] def checkFeatures(pts: Iterable[Point]): Unit = pts.foreach { pt =>
+    val f = pt.features
+    require(f != null, s"sample id ${pt.id} has no feature array")
+    val p = pts.head.features.length
+    require(f.length == p, s"ragged features: sample id ${pt.id} has ${f.length} values, the first sample has $p")
+    require(f.forall(v => java.lang.Double.isFinite(v)), s"sample id ${pt.id} has a NaN or infinite feature value")
+  }
 }

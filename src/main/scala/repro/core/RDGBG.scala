@@ -50,24 +50,10 @@ object RDGBG {
   def generate(data: Seq[Point], rho: Int = 5, seed: Long = 42): RDGBGResult = {
     require(rho >= 2, s"density tolerance must be >= 2, got $rho")
     val pts = data.toArray
-    checkInput(pts)
+    Point.checkFeatures(pts)
+    val seen = mutable.HashSet.empty[Long] // U is a set of samples keyed by id
+    pts.foreach(pt => require(seen.add(pt.id), s"duplicate sample id ${pt.id}"))
     new Granulation(pts, rho, new Random(seed)).run()
-  }
-
-  /** Rejects inputs on which RD-GBG is undefined: duplicate ids (U is a set
-    * of samples keyed by id), missing or ragged feature arrays, and NaN or
-    * infinite values (distances would not be totally ordered).
-    */
-  private def checkInput(pts: Array[Point]): Unit = {
-    val seen = mutable.HashSet.empty[Long]
-    pts.foreach { pt =>
-      val f = pt.features
-      require(f != null, s"sample id ${pt.id} has no feature array")
-      val p = pts(0).features.length
-      require(f.length == p, s"ragged features: sample id ${pt.id} has ${f.length} values, the first sample has $p")
-      require(seen.add(pt.id), s"duplicate sample id ${pt.id}")
-      require(f.forall(v => java.lang.Double.isFinite(v)), s"sample id ${pt.id} has a NaN or infinite feature value")
-    }
   }
 
   /** State of one `generate` call. Samples are addressed by their index in

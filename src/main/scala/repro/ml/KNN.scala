@@ -10,6 +10,7 @@ final case class KNN(k: Int = 5) extends Learner {
 
   override def fit(train: Vector[Point], seed: Long): Classifier = {
     require(train.nonEmpty, "kNN needs a non-empty training set")
+    Point.checkFeatures(train)
     new KNNModel(train, math.min(k, train.size))
   }
 }
@@ -24,6 +25,5 @@ final class KNNModel(train: Vector[Point], k: Int) extends Classifier {
   private val labels = train.map(_.label).toArray
 
   override def predict(x: Array[Double]): Int =
-    Neighbors.kNearest(rows, p, x, k, order).map(labels).groupBy(identity)
-      .maxBy { case (lab, v) => (v.length, -lab) }._1
+    Classifier.vote(Neighbors.kNearest(rows, p, x, k, order).map(labels))
 }

@@ -15,6 +15,16 @@ object TestData {
   def pts1d(rows: (Double, Int)*): Vector[Point] =
     rows.zipWithIndex.map { case ((x, y), i) => Point(Array(x), y, i.toLong) }.toVector
 
+  /** Two-class rows whose third (id 2) is shorter than the first. */
+  def ragged: Vector[Point] = pts((Seq(0.0, 0.0), 0), (Seq(1.0, 1.0), 1), (Seq(2.0), 0), (Seq(3.0), 1))
+
+  /** The values that no learner or sampler accepts as a feature. */
+  val nonFinite: Seq[Double] = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  /** Two-class rows whose third (id 2) holds `bad`. */
+  def holding(bad: Double): Vector[Point] =
+    pts((Seq(0.0, 0.0), 0), (Seq(1.0, 1.0), 1), (Seq(2.0, bad), 0), (Seq(bad, 3.0), 1))
+
   /** Points as the (id, features, label) DataFrame that `SparkGBABS` reads. */
   def pointsToDF(spark: SparkSession, pts: Seq[Point]): DataFrame = {
     import spark.implicits._

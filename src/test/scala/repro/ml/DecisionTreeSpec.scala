@@ -95,4 +95,16 @@ class DecisionTreeSpec extends SparkSpec {
     assert(m.predict(Array(0.5)) == 10)
     assert(m.predict(Array(5.5)) == 42)
   }
+
+  test("ragged feature arrays are rejected, naming the first offending id") {
+    val e = intercept[IllegalArgumentException] { DecisionTree().fit(TestData.ragged, 0) }
+    assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("ragged"))
+  }
+
+  test("NaN and infinite feature values are rejected, naming the first offending id") {
+    for (bad <- TestData.nonFinite) {
+      val e = intercept[IllegalArgumentException] { DecisionTree().fit(TestData.holding(bad), 0) }
+      assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("NaN or infinite"), s"value $bad")
+    }
+  }
 }

@@ -98,4 +98,16 @@ class GBDTSpec extends SparkSpec {
     val m = GBDT.xgboostLike(10).fit(noisy, 0)
     assert(Metrics.accuracy(m.predictAll(test), test.map(_.label)) > 0.8)
   }
+
+  test("ragged feature arrays are rejected, naming the first offending id") {
+    val e = intercept[IllegalArgumentException] { GBDT.xgboostLike(3).fit(TestData.ragged, 0) }
+    assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("ragged"))
+  }
+
+  test("NaN and infinite feature values are rejected, naming the first offending id") {
+    for (bad <- TestData.nonFinite) {
+      val e = intercept[IllegalArgumentException] { GBDT.xgboostLike(3).fit(TestData.holding(bad), 0) }
+      assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("NaN or infinite"), s"value $bad")
+    }
+  }
 }

@@ -51,4 +51,16 @@ class KNNSpec extends SparkSpec {
   test("learner name is kNN") {
     assert(KNN().name == "kNN")
   }
+
+  test("ragged feature arrays are rejected, naming the first offending id") {
+    val e = intercept[IllegalArgumentException] { KNN(1).fit(TestData.ragged, 0) }
+    assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("ragged"))
+  }
+
+  test("NaN and infinite feature values are rejected, naming the first offending id") {
+    for (bad <- TestData.nonFinite) {
+      val e = intercept[IllegalArgumentException] { KNN(1).fit(TestData.holding(bad), 0) }
+      assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("NaN or infinite"), s"value $bad")
+    }
+  }
 }

@@ -56,4 +56,16 @@ class RandomForestSpec extends SparkSpec {
   test("learner name is RF") {
     assert(RandomForest().name == "RF")
   }
+
+  test("ragged feature arrays are rejected, naming the first offending id") {
+    val e = intercept[IllegalArgumentException] { RandomForest(nTrees = 3).fit(TestData.ragged, 0) }
+    assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("ragged"))
+  }
+
+  test("NaN and infinite feature values are rejected, naming the first offending id") {
+    for (bad <- TestData.nonFinite) {
+      val e = intercept[IllegalArgumentException] { RandomForest(nTrees = 3).fit(TestData.holding(bad), 0) }
+      assert(e.getMessage.contains("sample id 2 ") && e.getMessage.contains("NaN or infinite"), s"value $bad")
+    }
+  }
 }
