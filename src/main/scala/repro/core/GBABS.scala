@@ -61,36 +61,34 @@ object GBABS {
     (chosen.valuesIterator.toVector, borderline.toSet)
   }
 
-  /** Indices of `values` in [[ranks]] order, ties by index (packed below the rank). */
+  /** Indices of `values` in [[encode]] order, ties by index (packed below the code). */
   private[core] def orderAlong(values: Array[Double]): Array[Int] = {
-    val rank = ranks(values)
+    val code = encode(values)._2
     val keys = new Array[Long](values.length)
     var i = 0
-    while (i < keys.length) { keys(i) = (rank(i).toLong << 32) | i; i += 1 }
+    while (i < keys.length) { keys(i) = (code(i).toLong << 32) | i; i += 1 }
     java.util.Arrays.sort(keys)
     i = 0
-    while (i < keys.length) { rank(i) = keys(i).toInt; i += 1 } // the ranks become the order
-    rank
+    while (i < keys.length) { code(i) = keys(i).toInt; i += 1 } // the codes become the order
+    code
   }
 
-  /** Each value's first position in a copy of `values` sorted in
-    * `java.lang.Double.compare` order, so equal values share their rank.
+  /** The distinct `values`, ascending in `java.lang.Double.compare` order,
+    * and each value's code: its position among them. Codes are dense and
+    * order the values as `Double.compare` does, equal values sharing one.
     */
-  private[repro] def ranks(values: Array[Double]): Array[Int] = {
-    val sorted = values.clone()
-    java.util.Arrays.sort(sorted)
-    val rank = new Array[Int](values.length)
-    var i = 0
-    while (i < rank.length) {
-      var lo = 0; var hi = sorted.length // first position not below values(i)
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        if (java.lang.Double.compare(sorted(mid), values(i)) < 0) lo = mid + 1 else hi = mid
-      }
-      rank(i) = lo
+  private[repro] def encode(values: Array[Double]): (Array[Double], Array[Int]) = {
+    val distinct = values.clone()
+    java.util.Arrays.sort(distinct)
+    var m = 0; var i = 0
+    while (i < distinct.length) {
+      if (m == 0 || java.lang.Double.compare(distinct(m - 1), distinct(i)) != 0) { distinct(m) = distinct(i); m += 1 }
       i += 1
     }
-    rank
+    val code = new Array[Int](values.length)
+    i = 0
+    while (i < code.length) { code(i) = java.util.Arrays.binarySearch(distinct, 0, m, values(i)); i += 1 }
+    (if (m == distinct.length) distinct else java.util.Arrays.copyOf(distinct, m), code)
   }
 
   /** Full pipeline: RD-GBG granulation then borderline sampling.

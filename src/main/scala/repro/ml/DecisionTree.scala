@@ -32,18 +32,11 @@ object TreeNode {
   * features, majority leaves. `featuresPerSplit > 0` evaluates a random
   * feature subset at every split (used by [[RandomForest]]); 0 means all.
   */
-final case class DecisionTree(
-    maxDepth: Int = 25,
-    minSamplesSplit: Int = 2,
-    featuresPerSplit: Int = 0,
-) extends Learner {
+final case class DecisionTree(maxDepth: Int = 25, featuresPerSplit: Int = 0) extends Learner {
   override val name = "DT"
 
-  override def fit(train: Vector[Point], seed: Long): Classifier = {
-    require(train.nonEmpty, "DT needs a non-empty training set")
-    Point.checkFeatures(train)
-    DecisionTree.build(DecisionTree.trainSet(train), maxDepth, minSamplesSplit, featuresPerSplit, new Random(seed))
-  }
+  override def fit(train: Vector[Point], seed: Long): Classifier =
+    DecisionTree.build(TrainSet(train, name), maxDepth, featuresPerSplit, new Random(seed))
 }
 
 final class TreeModel(val root: TreeNode) extends Classifier {
@@ -59,38 +52,63 @@ final class TreeModel(val root: TreeNode) extends Classifier {
   }
 }
 
-/** Training rows, each row's class as an index into the sorted distinct
-  * `labels`, and `rank(f)(i)`: the [[GBABS.ranks]] of feature `f` at row `i`.
+/** A training set as DT, RF and GBDT read it: each row's class `ys(i)` as
+  * an index into the sorted distinct `labels`, and per feature `f` the
+  * distinct values `values(f)` with row `i`'s code `code(f)(i)` among them
+  * ([[GBABS.encode]]), so row `i` holds `values(f)(code(f)(i))`.
   */
-private[ml] final case class TrainSet(
-    xs: Array[Array[Double]], ys: Array[Int], labels: Array[Int], rank: Array[Array[Int]]) {
+private[ml] final class TrainSet private (
+    val ys: Array[Int], val labels: Array[Int], val values: Array[Array[Double]], val code: Array[Array[Int]]) {
   /** The bootstrap sample whose row `j` is row `src(j)`; a class it lacks only adds zero counts. */
   def bootstrap(src: Array[Int]): TrainSet =
-    TrainSet(src.map(xs(_)), src.map(ys(_)), labels, rank.map(r => Array.tabulate(src.length)(j => r(src(j)))))
+    new TrainSet(TrainSet.gather(ys, src), labels, values, code.map(TrainSet.gather(_, src)))
+}
+
+private[ml] object TrainSet {
+  /** Rejects an empty `train`, then a bad feature array ([[Point.checkFeatures]]). */
+  def check(train: Vector[Point], learner: String): Unit = {
+    require(train.nonEmpty, s"$learner needs a non-empty training set")
+    Point.checkFeatures(train)
+  }
+
+  /** Checks `train` for `learner`, then encodes its labels and each feature column once. */
+  def apply(train: Vector[Point], learner: String): TrainSet = {
+    check(train, learner)
+    val pts = train.toArray
+    val col = new Array[Double](pts.length)
+    def encoded(at: Int => Double) = {
+      var i = 0
+      while (i < col.length) { col(i) = at(i); i += 1 }
+      GBABS.encode(col)
+    }
+    val (labels, ys) = encoded(pts(_).label)
+    val cols = Array.tabulate(pts(0).dim)(f => encoded(pts(_).features(f)))
+    new TrainSet(ys, labels.map(_.toInt), cols.map(_._1), cols.map(_._2))
+  }
+
+  /** `src.map(a)`, without boxing. */
+  def gather(a: Array[Int], src: Array[Int]): Array[Int] = {
+    val out = new Array[Int](src.length)
+    var j = 0
+    while (j < out.length) { out(j) = a(src(j)); j += 1 }
+    out
+  }
 }
 
 object DecisionTree {
 
-  private[ml] def trainSet(train: Vector[Point]): TrainSet = {
-    val labels = train.map(_.label).distinct.sorted.toArray
-    val labIdx = labels.zipWithIndex.toMap
-    val xs = train.iterator.map(_.features).toArray
-    TrainSet(xs, train.iterator.map(pt => labIdx(pt.label)).toArray, labels,
-      Array.tabulate(xs(0).length)(f => GBABS.ranks(xs.map(_(f)))))
-  }
-
   /** Grows a CART tree on `ts`. A node's rows `idx` are ascending (the
     * root's are, and [[TreeNode.partition]] keeps order), so sorting its
-    * packed `(rank << 32 | row)` keys orders them by value with ties by
-    * row, as a stable sort of `idx` by value would.
+    * packed `(code << 32 | row)` keys orders them by value with ties by
+    * row, as a stable sort of `idx` by value would. Candidates and the
+    * partition compare the values, not the codes: IEEE `<` and `<=` hold
+    * -0.0 and 0.0 equal, where their codes differ.
     */
-  private[ml] def build(
-      ts: TrainSet, maxDepth: Int, minSamplesSplit: Int,
-      featuresPerSplit: Int, rng: Random): TreeModel = {
-    import ts.{labels, rank, xs, ys}
-    val p = rank.length
+  private[ml] def build(ts: TrainSet, maxDepth: Int, featuresPerSplit: Int, rng: Random): TreeModel = {
+    import ts.{code, labels, values, ys}
+    val p = code.length
     val k = labels.length
-    val keys = new Array[Long](xs.length)
+    val keys = new Array[Long](ys.length)
     val cntL, cntR = new Array[Int](k)
     // Best split found so far at the node being searched.
     var bestF = -1; var bestThr = 0.0; var bestImp = Double.PositiveInfinity
@@ -111,20 +129,20 @@ object DecisionTree {
       * a candidate replaces the best split only if strictly better. */
     def search(idx: Array[Int], f: Int): Unit = {
       val m = idx.length
+      val cf = code(f); val vf = values(f)
       java.util.Arrays.fill(cntL, 0); java.util.Arrays.fill(cntR, 0)
       var t = 0
-      while (t < m) { val i = idx(t); keys(t) = (rank(f)(i).toLong << 32) | i; cntR(ys(i)) += 1; t += 1 }
+      while (t < m) { val i = idx(t); keys(t) = (cf(i).toLong << 32) | i; cntR(ys(i)) += 1; t += 1 }
       java.util.Arrays.sort(keys, 0, m)
       var sqL = 0.0; var sqR = 0.0
       var c = 0
       while (c < k) { sqR += cntR(c).toDouble * cntR(c); c += 1 }
       t = 0
       while (t < m - 1) {
-        val row = keys(t).toInt
-        val cls = ys(row)
+        val cls = ys(keys(t).toInt)
         sqL += 2.0 * cntL(cls) + 1; cntL(cls) += 1
         sqR -= 2.0 * cntR(cls) - 1; cntR(cls) -= 1
-        val v = xs(row)(f); val vNext = xs(keys(t + 1).toInt)(f)
+        val v = vf((keys(t) >>> 32).toInt); val vNext = vf((keys(t + 1) >>> 32).toInt)
         if (v < vNext) {
           val nL = t + 1; val nR = m - nL
           // minimize  nL*(1 - sqL/nL^2) + nR*(1 - sqR/nR^2)  =  m - sqL/nL - sqR/nR
@@ -136,7 +154,7 @@ object DecisionTree {
     }
 
     def grow(idx: Array[Int], depth: Int): TreeNode = {
-      if (idx.length < minSamplesSplit || depth >= maxDepth || pure(idx)) majority(idx)
+      if (depth >= maxDepth || pure(idx)) majority(idx)
       else {
         val feats: Seq[Int] =
           if (featuresPerSplit <= 0 || featuresPerSplit >= p) 0 until p
@@ -146,13 +164,14 @@ object DecisionTree {
         val (f, thr) = (bestF, bestThr)
         if (f < 0) majority(idx)
         else {
-          val (l, r) = TreeNode.partition(idx, i => xs(i)(f) <= thr)
+          val cf = code(f); val vf = values(f)
+          val (l, r) = TreeNode.partition(idx, i => vf(cf(i)) <= thr)
           if (l.isEmpty || r.isEmpty) majority(idx)
           else Split(f, thr, grow(l, depth + 1), grow(r, depth + 1))
         }
       }
     }
 
-    new TreeModel(grow(Array.range(0, xs.length), 0))
+    new TreeModel(grow(Array.range(0, ys.length), 0))
   }
 }

@@ -19,51 +19,42 @@ final case class GBDT(
     learningRate: Double = 0.2,
     maxDepth: Int = 5,
     maxLeaves: Int = Int.MaxValue,
-    lambda: Double = 1.0,
-    bins: Int = 32,
-    minChildHessian: Double = 1e-3,
 ) extends Learner {
 
   override def fit(train: Vector[Point], seed: Long): Classifier = {
-    require(train.nonEmpty, s"$name needs a non-empty training set")
-    Point.checkFeatures(train)
-    val labels = train.map(_.label).distinct.sorted.toArray
+    val ts = TrainSet(train, name)
+    import ts.{labels, ys}
     if (labels.length == 1) return new ConstantModel(labels(0))
 
-    val n = train.size
-    val p = train.head.dim
-    val k = labels.length
-    val labIdx = labels.zipWithIndex.toMap
-    val ys = train.iterator.map(pt => labIdx(pt.label)).toArray
-    val xs = train.iterator.map(_.features).toArray
+    val n = ys.length; val k = labels.length
 
-    // Per-feature candidate cut points (quantile-spaced midpoints) and the
-    // binned feature matrix: binOf(f)(i) = number of cuts < x plus bound.
-    val cuts: Array[Array[Double]] = Array.tabulate(p) { f =>
-      val v = GBDT.distinctSorted(xs.map(_(f)))
+    // Per-feature candidate cut points (quantile-spaced midpoints of the
+    // distinct values) and the binned feature matrix: binOf(f)(i) is the
+    // first b with x <= cuts(b), or cuts.length, so x <= cuts(b) iff bin <= b.
+    val cuts: Array[Array[Double]] = ts.values.map { v =>
       if (v.length <= 1) Array.empty[Double]
-      else if (v.length <= bins) v.sliding(2).map(w => (w(0) + w(1)) / 2).toArray
+      else if (v.length <= GBDT.Bins) v.sliding(2).map(w => (w(0) + w(1)) / 2).toArray
       else {
-        val step = v.length.toDouble / bins
-        (1 until bins).map { b =>
+        val step = v.length.toDouble / GBDT.Bins
+        (1 until GBDT.Bins).map { b =>
           val i = math.min(v.length - 1, math.max(1, math.round(b * step).toInt))
           (v(i - 1) + v(i)) / 2
         }.distinct.toArray
       }
     }
-    val binOf: Array[Array[Int]] = Array.tabulate(p) { f =>
-      val c = cuts(f)
-      xs.map { row =>
-        var lo = 0; var hi = c.length
-        while (lo < hi) { val mid = (lo + hi) / 2; if (row(f) <= c(mid)) hi = mid else lo = mid + 1 }
-        lo // bin in [0, cuts.length]; x <= cuts(b) iff bin <= b
-      }
+    val binOf: Array[Array[Int]] = Array.tabulate(cuts.length) { f =>
+      // The bin of each distinct value, by a merge walk: both are ascending.
+      val v = ts.values(f); val c = cuts(f)
+      val binAt = new Array[Int](v.length)
+      var d = 0; var b = 0
+      while (d < v.length) { while (b < c.length && !(v(d) <= c(b))) b += 1; binAt(d) = b; d += 1 }
+      TrainSet.gather(binAt, ts.code(f))
     }
 
     // Row-major n x k scores and softmax probabilities, reused every round.
     val scores, probs = new Array[Double](n * k)
     val g, h, weight = new Array[Double](n)
-    val grower = new GBDT.Grower(binOf, cuts, g, h, weight, maxDepth, maxLeaves, lambda, bins, minChildHessian)
+    val grower = new GBDT.Grower(binOf, cuts, g, h, weight, maxDepth, maxLeaves)
     val allTrees = Vector.newBuilder[Array[TreeNode]]
 
     var round = 0
@@ -112,13 +103,9 @@ object GBDT {
   def lightgbmLike(rounds: Int = 20): GBDT =
     GBDT(name = "LightGBM", rounds = rounds, learningRate = 0.2, maxDepth = Int.MaxValue, maxLeaves = 15)
 
-  /** `v.distinct.sorted`, by a primitive sort of `v` in place. */
-  private def distinctSorted(v: Array[Double]): Array[Double] = {
-    java.util.Arrays.sort(v)
-    var m = 0; var i = 0
-    while (i < v.length) { if (m == 0 || java.lang.Double.compare(v(m - 1), v(i)) != 0) { v(m) = v(i); m += 1 }; i += 1 }
-    java.util.Arrays.copyOf(v, m)
-  }
+  private val Lambda = 1.0 // L2 penalty on leaf weights
+  private val Bins = 32 // histogram bins per feature
+  private val MinChildHessian = 1e-3 // least hessian sum of a child
 
   /** A tree node under growth: its rows, and the best split found for it. */
   private final class MNode(val idx: Array[Int], val depth: Int) {
@@ -136,9 +123,9 @@ object GBDT {
   private final class Grower(
       binOf: Array[Array[Int]], cuts: Array[Array[Double]],
       g: Array[Double], h: Array[Double], weight: Array[Double],
-      maxDepth: Int, maxLeaves: Int, lambda: Double, bins: Int, minH: Double) {
-    private val hg, hh = new Array[Double](bins + 1)
-    private val hc = new Array[Int](bins + 1)
+      maxDepth: Int, maxLeaves: Int) {
+    private val hg, hh = new Array[Double](Bins + 1)
+    private val hc = new Array[Int](Bins + 1)
     // A node's gradients and hessians in `idx` order, read once per feature.
     private val gi, hi = new Array[Double](g.length)
 
@@ -149,7 +136,7 @@ object GBDT {
       var gTot = 0.0; var hTot = 0.0
       var t = 0
       while (t < idx.length) { gi(t) = g(idx(t)); hi(t) = h(idx(t)); gTot += gi(t); hTot += hi(t); t += 1 }
-      val base = gTot * gTot / (hTot + lambda)
+      val base = gTot * gTot / (hTot + Lambda)
       var found = false
       var f = 0
       while (f < binOf.length) {
@@ -168,9 +155,9 @@ object GBDT {
         while (b < maxBin) { // split "bin <= b goes left"
           gl += hg(b); hl += hh(b); cl += hc(b)
           val hr = hTot - hl; val cr = idx.length - cl
-          if (cl > 0 && cr > 0 && hl >= minH && hr >= minH) {
+          if (cl > 0 && cr > 0 && hl >= MinChildHessian && hr >= MinChildHessian) {
             val gr = gTot - gl
-            val gain = gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - base
+            val gain = gl * gl / (hl + Lambda) + gr * gr / (hr + Lambda) - base
             if (gain > 1e-10 && (!found || node.gain < gain)) {
               found = true; node.feature = f; node.cutBin = b; node.gain = gain
             }
@@ -187,7 +174,7 @@ object GBDT {
         var gs = 0.0; var hs = 0.0
         var t = 0
         while (t < n.idx.length) { gs += g(n.idx(t)); hs += h(n.idx(t)); t += 1 }
-        val w = -gs / (hs + lambda) // Newton weight
+        val w = -gs / (hs + Lambda) // Newton weight
         t = 0
         while (t < n.idx.length) { weight(n.idx(t)) = w; t += 1 }
         Leaf(w)

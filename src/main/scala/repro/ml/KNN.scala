@@ -9,8 +9,7 @@ final case class KNN(k: Int = 5) extends Learner {
   override val name = "kNN"
 
   override def fit(train: Vector[Point], seed: Long): Classifier = {
-    require(train.nonEmpty, "kNN needs a non-empty training set")
-    Point.checkFeatures(train)
+    TrainSet.check(train, name)
     new KNNModel(train, math.min(k, train.size))
   }
 }

@@ -3,24 +3,21 @@ package repro.ml
 import repro.core.Point
 import scala.util.Random
 
-/** Random forest: bagged CART trees with sqrt(p) random features per split
-  * and majority voting (Breiman 2001 / scikit-learn semantics; ensemble
-  * size reduced for the bench budget and recorded in EXPERIMENTS.md).
+/** Random forest: bagged depth-15 CART trees with sqrt(p) random features
+  * per split and majority voting (Breiman 2001 / scikit-learn semantics;
+  * ensemble size reduced for the bench budget, see EXPERIMENTS.md).
   */
-final case class RandomForest(nTrees: Int = 25, maxDepth: Int = 15) extends Learner {
+final case class RandomForest(nTrees: Int = 25) extends Learner {
   override val name = "RF"
 
   override def fit(train: Vector[Point], seed: Long): Classifier = {
-    require(train.nonEmpty, "RF needs a non-empty training set")
-    Point.checkFeatures(train)
+    val all = TrainSet(train, name) // feature codes once per forest
     val rng = new Random(seed)
-    val p = train.head.dim
-    val mtry = math.max(1, math.round(math.sqrt(p.toDouble)).toInt)
-    val n = train.size
-    val all = DecisionTree.trainSet(train) // feature ranks once per forest
+    val n = all.ys.length
+    val mtry = math.max(1, math.round(math.sqrt(all.code.length.toDouble)).toInt)
     val trees = Vector.fill(nTrees) {
       val src = Array.fill(n)(rng.nextInt(n))
-      DecisionTree.build(all.bootstrap(src), maxDepth, 2, mtry, new Random(rng.nextLong()))
+      DecisionTree.build(all.bootstrap(src), maxDepth = 15, mtry, new Random(rng.nextLong()))
     }
     new ForestModel(trees)
   }

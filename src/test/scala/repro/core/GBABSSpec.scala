@@ -66,14 +66,31 @@ class GBABSSpec extends SparkSpec {
     assert(sampled.isEmpty && borderline.isEmpty)
   }
 
-  test("orderAlong equals the (center, index) tuple sort, including ties, -0.0 and infinities") {
-    val rng = new scala.util.Random(47)
+  /** 200 columns of up to 39 values: every other one drawn from ties, ±0.0 and ±∞, the rest from [0, 5). */
+  private def columns(seed: Int): Iterator[Array[Double]] = {
+    val rng = new scala.util.Random(seed)
     val specials = Array(0.0, -0.0, 1.0, -1.0, Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue)
-    for (trial <- 0 until 200) {
+    Iterator.tabulate(200) { trial =>
       val n = rng.nextInt(40)
-      val values = Array.fill(n)(
-        if (trial % 2 == 0) specials(rng.nextInt(specials.length)) else rng.nextInt(5) + rng.nextDouble())
+      Array.fill(n)(if (trial % 2 == 0) specials(rng.nextInt(specials.length)) else rng.nextInt(5) + rng.nextDouble())
+    }
+  }
+
+  test("orderAlong equals the (center, index) tuple sort, including ties, -0.0 and infinities") {
+    for (values <- columns(47)) {
       assert(GBABS.orderAlong(values).toVector == values.indices.sortBy(i => (values(i), i.toLong)).toVector)
+    }
+  }
+
+  test("encode gives strictly increasing distinct values and dense order-keeping codes that restore every bit") {
+    for (values <- columns(53)) {
+      val (distinct, code) = GBABS.encode(values)
+      assert(distinct.indices.drop(1).forall(d => java.lang.Double.compare(distinct(d - 1), distinct(d)) < 0))
+      assert(values.indices.forall(i =>
+        java.lang.Double.doubleToRawLongBits(distinct(code(i))) == java.lang.Double.doubleToRawLongBits(values(i))))
+      assert(code.toSet == distinct.indices.toSet, "codes are dense")
+      for (i <- values.indices; j <- values.indices)
+        assert(Integer.signum(java.lang.Double.compare(values(i), values(j))) == Integer.signum(Integer.compare(code(i), code(j))))
     }
   }
 

@@ -79,10 +79,18 @@ class DecisionTreeSpec extends SparkSpec {
     assert(Metrics.accuracy(m.predictAll(data), data.map(_.label)) > 0.8)
   }
 
-  test("minSamplesSplit stops splitting small nodes") {
-    val data = TestData.twoBlobs(40, sep = 1.0, seed = 10)
-    val m = DecisionTree(minSamplesSplit = 1000).fit(data, 0).asInstanceOf[TreeModel]
-    assert(m.size == 1)
+  test("a feature that separates the classes only by the sign of zero is never split on") {
+    // -0.0 and 0.0 are equal under IEEE comparison, though Double.compare orders them.
+    val data = TestData.pts(
+      (Seq(-0.0, 0.0), 0), (Seq(-0.0, 1.0), 0), (Seq(-0.0, 2.0), 0),
+      (Seq(0.0, 1.0), 1), (Seq(0.0, 2.0), 1), (Seq(0.0, 3.0), 1))
+    def features(n: TreeNode): Set[Int] = n match {
+      case Leaf(_)           => Set.empty
+      case Split(f, _, l, r) => features(l) ++ features(r) + f
+    }
+    val root = DecisionTree().fit(data, 0).asInstanceOf[TreeModel].root
+    assert(root.isInstanceOf[Split], s"expected a split on feature 1, got $root")
+    assert(features(root) == Set(1))
   }
 
   test("empty training is rejected") {
