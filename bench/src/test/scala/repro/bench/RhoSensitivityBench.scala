@@ -24,7 +24,7 @@ class RhoSensitivityBench extends SparkSpec {
         val perFold = for (f <- 0 until cfg.folds) yield {
           val (_, train, test) = Experiment.foldData(CellKey(si, 0.0, f), cfgR)
           val res = GBABS.run(train, rho, cfgR.seed + f)
-          val m = DecisionTree(maxDepth = cfg.dtDepth).fit(
+          val m = DecisionTree().fit(
             if (res.sampled.isEmpty) train else res.sampled, cfgR.seed)
           (res.samplingRatio, Metrics.accuracy(m.predictAll(test), test.map(_.label)))
         }

@@ -54,7 +54,6 @@ object GranularBall {
     points.foreach { pt => var i = 0; while (i < p) { c(i) += pt.features(i); i += 1 } }
     var i = 0; while (i < p) { c(i) /= points.size; i += 1 }
     val r = points.map(_.distTo(c)).sum / points.size
-    val label = points.groupBy(_.label).maxBy { case (l, ps) => (ps.size, -l) }._1
-    GranularBall(c, r, label, points)
+    GranularBall(c, r, Point.mostCommon(points.iterator.map(_.label)), points)
   }
 }

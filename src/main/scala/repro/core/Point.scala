@@ -43,6 +43,12 @@ object Point {
     require(f != null, s"sample id ${pt.id} has no feature array")
     val p = pts.head.features.length
     require(f.length == p, s"ragged features: sample id ${pt.id} has ${f.length} values, the first sample has $p")
-    require(f.forall(v => java.lang.Double.isFinite(v)), s"sample id ${pt.id} has a NaN or infinite feature value")
+    var j = 0
+    while (j < p && java.lang.Double.isFinite(f(j))) j += 1
+    require(j == p, s"sample id ${pt.id} has a NaN or infinite feature value")
   }
+
+  /** The most frequent of `labels`, ties to the lowest label. */
+  private[repro] def mostCommon(labels: IterableOnce[Int]): Int =
+    labels.iterator.toSeq.groupMapReduce(identity)(_ => 1)(_ + _).minBy { case (l, c) => (-c, l) }._1
 }

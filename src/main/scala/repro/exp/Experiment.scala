@@ -23,7 +23,6 @@ final case class BenchConfig(
     seed: Long = 7,
     rfTrees: Int = 25,
     gbdtRounds: Int = 20,
-    dtDepth: Int = 25,
 )
 
 object BenchConfig {
@@ -49,7 +48,7 @@ object Experiment {
 
   /** The five classifiers of the paper's Table IV. */
   def learners(cfg: BenchConfig): Vector[Learner] = Vector(
-    DecisionTree(maxDepth = cfg.dtDepth),
+    DecisionTree(),
     GBDT.xgboostLike(cfg.gbdtRounds),
     GBDT.lightgbmLike(cfg.gbdtRounds),
     KNN(5),

@@ -14,7 +14,7 @@ object Tables {
   /** The class-noise ratios of the paper's noise study. */
   val noiseRatios: Vector[Double] = Vector(0.05, 0.10, 0.20, 0.30, 0.40)
 
-  private def dt(cfg: BenchConfig) = Vector[repro.ml.Learner](DecisionTree(maxDepth = cfg.dtDepth))
+  private val dt = Vector[repro.ml.Learner](DecisionTree())
 
   private def mean(xs: Iterable[Double]): Double = xs.sum / xs.size
 
@@ -50,7 +50,7 @@ object Tables {
   /** Table II: per dataset, DT accuracy under each sampling method. */
   def tableII(spark: SparkSession, cfg: BenchConfig): Vector[(String, Map[String, Double])] = {
     val keys = Experiment.gridKeys(cfg, Seq(0.0))
-    val results = Experiment.runGrid(spark, keys, cfg, Experiment.coreMethods, dt(cfg))
+    val results = Experiment.runGrid(spark, keys, cfg, Experiment.coreMethods, dt)
     val acc = means(results, _.acc)(r => (r.specId, r.method))
     DatasetGen.specs.map { spec =>
       spec.id -> Experiment.coreMethods.map(m => m -> acc((spec.id, m))).toMap
@@ -134,7 +134,7 @@ object Tables {
   def samplingRatios(spark: SparkSession, cfg: BenchConfig,
                      noises: Seq[Double]): Map[(String, Double), (Double, Double)] = {
     val keys = Experiment.gridKeys(cfg, noises)
-    val results = Experiment.runGrid(spark, keys, cfg, Vector("GBABS", "GGBS"), dt(cfg))
+    val results = Experiment.runGrid(spark, keys, cfg, Vector("GBABS", "GGBS"), dt)
     val ratio = means(results, _.ratio)(r => (r.specId, r.noise, r.method))
     DatasetGen.specs.flatMap(spec => noises.map { nz =>
       (spec.id, nz) -> (ratio((spec.id, nz, "GBABS")), ratio((spec.id, nz, "GGBS")))
@@ -155,7 +155,7 @@ object Tables {
     */
   def gmeanRanking(spark: SparkSession, cfg: BenchConfig, noise: Double = 0.0): Map[String, Double] = {
     val keys = Experiment.gridKeys(cfg, Seq(noise))
-    val results = Experiment.runGrid(spark, keys, cfg, Experiment.imbalancedMethods, dt(cfg))
+    val results = Experiment.runGrid(spark, keys, cfg, Experiment.imbalancedMethods, dt)
     val gmean = means(results, _.gmean)(r => (r.specId, r.method))
     val perDataset = DatasetGen.specs.map { spec =>
       Experiment.imbalancedMethods.map(m => m -> gmean((spec.id, m)))

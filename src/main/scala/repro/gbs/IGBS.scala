@@ -20,8 +20,7 @@ object IGBS {
     if (data.isEmpty) return Vector.empty
     val p = data.head.dim
     val rng = new Random(seed)
-    val counts = data.groupBy(_.label).view.mapValues(_.size).toMap
-    val majority = counts.maxBy { case (lab, c) => (c, -lab) }._1
+    val majority = Point.mostCommon(data.iterator.map(_.label))
 
     val chosen = GGBS.undersample(KDivisionGBG.generate(data, purityThreshold, seed), p) { ball =>
       if (ball.label != majority) ball.points.filter(_.label != majority) else GGBS.sampleLargeBall(ball, p)

@@ -10,11 +10,6 @@ trait Classifier extends Serializable {
   def predictAll(test: Seq[Point]): Vector[Int] = test.iterator.map(p => predict(p.features)).toVector
 }
 
-object Classifier {
-  /** The most frequent of `labels`, ties to the lowest label. */
-  private[ml] def vote(labels: Array[Int]): Int = labels.maxBy(l => (labels.count(_ == l), -l))
-}
-
 /** A trainable classification algorithm (the paper's downstream models). */
 trait Learner extends Serializable {
   def name: String

@@ -19,12 +19,15 @@ object TreeNode {
     case Split(f, thr, l, r) => eval(if (x(f) <= thr) l else r, x)
   }
 
-  /** The rows of `idx` where `left` holds, and the others, each in `idx` order. */
-  private[ml] def partition(idx: Array[Int], left: Int => Boolean): (Array[Int], Array[Int]) = {
-    val l = new Array[Int](idx.length); val r = new Array[Int](idx.length)
-    var a = 0; var t = 0
-    while (t < idx.length) { val i = idx(t); if (left(i)) { l(a) = i; a += 1 } else r(t - a) = i; t += 1 }
-    (java.util.Arrays.copyOf(l, a), java.util.Arrays.copyOf(r, idx.length - a))
+  /** Moves the rows of `rows(lo until hi)` where `left` holds to the front
+    * of that range and the others after them, each in their old order,
+    * through `scratch` (at least `hi - lo` long); returns where the others start.
+    */
+  private[ml] def partition(rows: Array[Int], lo: Int, hi: Int, scratch: Array[Int], left: Int => Boolean): Int = {
+    var a = lo; var r = 0; var t = lo
+    while (t < hi) { val i = rows(t); if (left(i)) { rows(a) = i; a += 1 } else { scratch(r) = i; r += 1 }; t += 1 }
+    System.arraycopy(scratch, 0, rows, a, r)
+    a
   }
 }
 
@@ -36,7 +39,7 @@ final case class DecisionTree(maxDepth: Int = 25, featuresPerSplit: Int = 0) ext
   override val name = "DT"
 
   override def fit(train: Vector[Point], seed: Long): Classifier =
-    DecisionTree.build(TrainSet(train, name), maxDepth, featuresPerSplit, new Random(seed))
+    DecisionTree.build(TrainSet(train, name), Array.range(0, train.size), maxDepth, featuresPerSplit, new Random(seed))
 }
 
 final class TreeModel(val root: TreeNode) extends Classifier {
@@ -58,11 +61,7 @@ final class TreeModel(val root: TreeNode) extends Classifier {
   * ([[GBABS.encode]]), so row `i` holds `values(f)(code(f)(i))`.
   */
 private[ml] final class TrainSet private (
-    val ys: Array[Int], val labels: Array[Int], val values: Array[Array[Double]], val code: Array[Array[Int]]) {
-  /** The bootstrap sample whose row `j` is row `src(j)`; a class it lacks only adds zero counts. */
-  def bootstrap(src: Array[Int]): TrainSet =
-    new TrainSet(TrainSet.gather(ys, src), labels, values, code.map(TrainSet.gather(_, src)))
-}
+    val ys: Array[Int], val labels: Array[Int], val values: Array[Array[Double]], val code: Array[Array[Int]])
 
 private[ml] object TrainSet {
   /** Rejects an empty `train`, then a bad feature array ([[Point.checkFeatures]]). */
@@ -97,42 +96,34 @@ private[ml] object TrainSet {
 
 object DecisionTree {
 
-  /** Grows a CART tree on `ts`. A node's rows `idx` are ascending (the
-    * root's are, and [[TreeNode.partition]] keeps order), so sorting its
-    * packed `(code << 32 | row)` keys orders them by value with ties by
-    * row, as a stable sort of `idx` by value would. Candidates and the
-    * partition compare the values, not the codes: IEEE `<` and `<=` hold
-    * -0.0 and 0.0 equal, where their codes differ.
+  /** Grows a CART tree on the rows of `ts` that `rows` lists, a row once per
+    * draw; a node is a range of `rows`, which [[TreeNode.partition]]
+    * reorders in place. The row order within a range cannot change a
+    * split: a node sorts its packed `(code << 32 | row)` keys fully, a
+    * candidate lies between distinct values, and class counts are exact.
+    * Candidates and the partition compare the values, not the codes: IEEE
+    * `<` and `<=` hold -0.0 and 0.0 equal, where their codes differ.
     */
-  private[ml] def build(ts: TrainSet, maxDepth: Int, featuresPerSplit: Int, rng: Random): TreeModel = {
+  private[ml] def build(ts: TrainSet, rows: Array[Int], maxDepth: Int, featuresPerSplit: Int, rng: Random): TreeModel = {
     import ts.{code, labels, values, ys}
     val p = code.length
     val k = labels.length
-    val keys = new Array[Long](ys.length)
-    val cntL, cntR = new Array[Int](k)
+    val keys = new Array[Long](rows.length)
+    val scratch = new Array[Int](rows.length)
+    // The class counts of the node being grown, then of its split sides.
+    val cnt, cntL, cntR = new Array[Int](k)
     // Best split found so far at the node being searched.
     var bestF = -1; var bestThr = 0.0; var bestImp = Double.PositiveInfinity
 
-    def majority(idx: Array[Int]): Leaf = {
-      val cnt = new Array[Int](k)
-      idx.foreach(i => cnt(ys(i)) += 1)
-      var best = 0; var i = 1
-      while (i < k) { if (cnt(i) > cnt(best)) best = i; i += 1 }
-      Leaf(labels(best).toDouble)
-    }
-
-    def pure(idx: Array[Int]): Boolean = {
-      val first = ys(idx(0)); idx.forall(i => ys(i) == first)
-    }
-
-    /** Weighted gini search of feature `f` over `idx` (sum-of-squares update);
-      * a candidate replaces the best split only if strictly better. */
-    def search(idx: Array[Int], f: Int): Unit = {
-      val m = idx.length
+    /** Weighted gini search of feature `f` over `rows(lo until hi)`
+      * (sum-of-squares update); a candidate replaces the best split only
+      * if strictly better. */
+    def search(lo: Int, hi: Int, f: Int): Unit = {
+      val m = hi - lo
       val cf = code(f); val vf = values(f)
-      java.util.Arrays.fill(cntL, 0); java.util.Arrays.fill(cntR, 0)
+      java.util.Arrays.fill(cntL, 0); System.arraycopy(cnt, 0, cntR, 0, k)
       var t = 0
-      while (t < m) { val i = idx(t); keys(t) = (cf(i).toLong << 32) | i; cntR(ys(i)) += 1; t += 1 }
+      while (t < m) { val i = rows(lo + t); keys(t) = (cf(i).toLong << 32) | i; t += 1 }
       java.util.Arrays.sort(keys, 0, m)
       var sqL = 0.0; var sqR = 0.0
       var c = 0
@@ -153,25 +144,31 @@ object DecisionTree {
       }
     }
 
-    def grow(idx: Array[Int], depth: Int): TreeNode = {
-      if (depth >= maxDepth || pure(idx)) majority(idx)
+    def grow(lo: Int, hi: Int, depth: Int): TreeNode = {
+      java.util.Arrays.fill(cnt, 0)
+      var t = lo
+      while (t < hi) { cnt(ys(rows(t))) += 1; t += 1 }
+      var best = 0; var c = 1
+      while (c < k) { if (cnt(c) > cnt(best)) best = c; c += 1 }
+      val label = labels(best).toDouble
+      if (depth >= maxDepth || cnt(best) == hi - lo) Leaf(label)
       else {
         val feats: Seq[Int] =
           if (featuresPerSplit <= 0 || featuresPerSplit >= p) 0 until p
           else rng.shuffle((0 until p).toVector).take(featuresPerSplit)
         bestF = -1; bestImp = Double.PositiveInfinity
-        feats.foreach(search(idx, _))
+        feats.foreach(search(lo, hi, _))
         val (f, thr) = (bestF, bestThr)
-        if (f < 0) majority(idx)
+        if (f < 0) Leaf(label)
         else {
           val cf = code(f); val vf = values(f)
-          val (l, r) = TreeNode.partition(idx, i => vf(cf(i)) <= thr)
-          if (l.isEmpty || r.isEmpty) majority(idx)
-          else Split(f, thr, grow(l, depth + 1), grow(r, depth + 1))
+          val mid = TreeNode.partition(rows, lo, hi, scratch, i => vf(cf(i)) <= thr)
+          if (mid == lo || mid == hi) Leaf(label)
+          else Split(f, thr, grow(lo, mid, depth + 1), grow(mid, hi, depth + 1))
         }
       }
     }
 
-    new TreeModel(grow(Array.range(0, ys.length), 0))
+    new TreeModel(grow(0, rows.length, 0))
   }
 }

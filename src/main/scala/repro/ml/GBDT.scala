@@ -107,8 +107,8 @@ object GBDT {
   private val Bins = 32 // histogram bins per feature
   private val MinChildHessian = 1e-3 // least hessian sum of a child
 
-  /** A tree node under growth: its rows, and the best split found for it. */
-  private final class MNode(val idx: Array[Int], val depth: Int) {
+  /** A tree node under growth: its range `lo until hi` of the grower's rows, and its best split. */
+  private final class MNode(val lo: Int, val hi: Int, val depth: Int) {
     var feature = -1; var cutBin = 0; var gain = 0.0
     var left, right: MNode = _
   }
@@ -126,16 +126,19 @@ object GBDT {
       maxDepth: Int, maxLeaves: Int) {
     private val hg, hh = new Array[Double](Bins + 1)
     private val hc = new Array[Int](Bins + 1)
-    // A node's gradients and hessians in `idx` order, read once per feature.
-    private val gi, hi = new Array[Double](g.length)
+    // The tree's rows; a node is a range of them, in the root's order as the
+    // partition is stable, so its float sums add in one order however it grows.
+    private val rows, scratch = new Array[Int](g.length)
+    // A node's gradients and hessians in row order, read once per feature.
+    private val gn, hn = new Array[Double](g.length)
 
     /** Records `node`'s best histogram split (a later candidate wins only
       * with a strictly larger gain); false if none has positive gain. */
     private def bestSplit(node: MNode): Boolean = {
-      val idx = node.idx
+      val lo = node.lo; val m = node.hi - lo
       var gTot = 0.0; var hTot = 0.0
       var t = 0
-      while (t < idx.length) { gi(t) = g(idx(t)); hi(t) = h(idx(t)); gTot += gi(t); hTot += hi(t); t += 1 }
+      while (t < m) { val i = rows(lo + t); gn(t) = g(i); hn(t) = h(i); gTot += gn(t); hTot += hn(t); t += 1 }
       val base = gTot * gTot / (hTot + Lambda)
       var found = false
       var f = 0
@@ -144,9 +147,9 @@ object GBDT {
         java.util.Arrays.fill(hg, 0.0); java.util.Arrays.fill(hh, 0.0); java.util.Arrays.fill(hc, 0)
         var maxBin = 0
         t = 0
-        while (t < idx.length) {
-          val b = bin(idx(t))
-          hg(b) += gi(t); hh(b) += hi(t); hc(b) += 1
+        while (t < m) {
+          val b = bin(rows(lo + t))
+          hg(b) += gn(t); hh(b) += hn(t); hc(b) += 1
           if (b > maxBin) maxBin = b
           t += 1
         }
@@ -154,7 +157,7 @@ object GBDT {
         var b = 0
         while (b < maxBin) { // split "bin <= b goes left"
           gl += hg(b); hl += hh(b); cl += hc(b)
-          val hr = hTot - hl; val cr = idx.length - cl
+          val hr = hTot - hl; val cr = m - cl
           if (cl > 0 && cr > 0 && hl >= MinChildHessian && hr >= MinChildHessian) {
             val gr = gTot - gl
             val gain = gl * gl / (hl + Lambda) + gr * gr / (hr + Lambda) - base
@@ -172,25 +175,27 @@ object GBDT {
     private def freeze(n: MNode): TreeNode =
       if (n.left == null) {
         var gs = 0.0; var hs = 0.0
-        var t = 0
-        while (t < n.idx.length) { gs += g(n.idx(t)); hs += h(n.idx(t)); t += 1 }
+        var t = n.lo
+        while (t < n.hi) { gs += g(rows(t)); hs += h(rows(t)); t += 1 }
         val w = -gs / (hs + Lambda) // Newton weight
-        t = 0
-        while (t < n.idx.length) { weight(n.idx(t)) = w; t += 1 }
+        t = n.lo
+        while (t < n.hi) { weight(rows(t)) = w; t += 1 }
         Leaf(w)
       } else Split(n.feature, cuts(n.feature)(n.cutBin), freeze(n.left), freeze(n.right))
 
     def grow(): TreeNode = {
       val open = mutable.PriorityQueue.empty[MNode](Ordering.by[MNode, Double](_.gain))
       def offer(node: MNode): Unit = if (node.depth < maxDepth && bestSplit(node)) open.enqueue(node)
-      val root = new MNode(Array.range(0, g.length), 0)
+      var t = 0
+      while (t < rows.length) { rows(t) = t; t += 1 }
+      val root = new MNode(0, rows.length, 0)
       offer(root)
       var leaves = 1
       while (leaves < maxLeaves && open.nonEmpty) {
         val node = open.dequeue()
         val bin = binOf(node.feature)
-        val (li, ri) = TreeNode.partition(node.idx, i => bin(i) <= node.cutBin)
-        node.left = new MNode(li, node.depth + 1); node.right = new MNode(ri, node.depth + 1)
+        val mid = TreeNode.partition(rows, node.lo, node.hi, scratch, i => bin(i) <= node.cutBin)
+        node.left = new MNode(node.lo, mid, node.depth + 1); node.right = new MNode(mid, node.hi, node.depth + 1)
         offer(node.left); offer(node.right)
         leaves += 1
       }

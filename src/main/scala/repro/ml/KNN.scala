@@ -24,5 +24,5 @@ final class KNNModel(train: Vector[Point], k: Int) extends Classifier {
   private val labels = train.map(_.label).toArray
 
   override def predict(x: Array[Double]): Int =
-    Classifier.vote(Neighbors.kNearest(rows, p, x, k, order).map(labels))
+    Point.mostCommon(Neighbors.kNearest(rows, p, x, k, order).map(labels))
 }

@@ -16,13 +16,15 @@ final case class RandomForest(nTrees: Int = 25) extends Learner {
     val n = all.ys.length
     val mtry = math.max(1, math.round(math.sqrt(all.code.length.toDouble)).toInt)
     val trees = Vector.fill(nTrees) {
-      val src = Array.fill(n)(rng.nextInt(n))
-      DecisionTree.build(all.bootstrap(src), maxDepth = 15, mtry, new Random(rng.nextLong()))
+      val draws = new Array[Int](n) // the bootstrap sample, a row once per draw
+      var j = 0
+      while (j < n) { draws(j) = rng.nextInt(n); j += 1 }
+      DecisionTree.build(all, draws, maxDepth = 15, mtry, new Random(rng.nextLong()))
     }
     new ForestModel(trees)
   }
 }
 
 final class ForestModel(val trees: Vector[TreeModel]) extends Classifier {
-  override def predict(x: Array[Double]): Int = Classifier.vote(trees.iterator.map(_.predict(x)).toArray)
+  override def predict(x: Array[Double]): Int = Point.mostCommon(trees.iterator.map(_.predict(x)))
 }

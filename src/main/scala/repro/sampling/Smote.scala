@@ -28,9 +28,6 @@ object Smote {
     out
   }
 
-  private def majorityLabel(data: Vector[Point]): Int =
-    data.groupBy(_.label).maxBy { case (lab, ps) => (ps.size, -lab) }._1
-
   /** Generate `need` synthetics for class `cls` from `seeds`, interpolating
     * toward within-class neighbors drawn from `classPts`. Ids continue
     * after `nextId`. Categorical columns (if any) are voted, not averaged.
@@ -73,7 +70,7 @@ object Smote {
     if (data.isEmpty) return data
     val byClass = data.groupBy(_.label)
     if (byClass.size <= 1) return data
-    val maj = majorityLabel(data)
+    val maj = Point.mostCommon(data.iterator.map(_.label))
     val target = byClass(maj).size
     var nextId = data.map(_.id).max + 1
     val extra = Vector.newBuilder[Point]

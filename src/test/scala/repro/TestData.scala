@@ -1,7 +1,10 @@
 package repro
 
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.security.MessageDigest
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Point
+import scala.io.Source
 import scala.util.Random
 
 /** Small deterministic datasets shared by the unit suites. */
@@ -24,6 +27,21 @@ object TestData {
   /** Two-class rows whose third (id 2) holds `bad`. */
   def holding(bad: Double): Vector[Point] =
     pts((Seq(0.0, 0.0), 0), (Seq(1.0, 1.0), 1), (Seq(2.0, bad), 0), (Seq(bad, 3.0), 1))
+
+  /** The lines of test resource `name`, without blank and `#` comment lines. */
+  def golden(name: String): Vector[String] = {
+    val src = Source.fromResource(name)
+    try src.getLines().filterNot(l => l.isEmpty || l.startsWith("#")).toVector finally src.close()
+  }
+
+  /** SHA-256, in lower-case hex, of the bytes `write` puts on a data stream. */
+  def sha256(write: DataOutputStream => Unit): String = {
+    val bytes = new ByteArrayOutputStream
+    val out = new DataOutputStream(bytes)
+    write(out)
+    out.flush()
+    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map(b => f"${b & 0xff}%02x").mkString
+  }
 
   /** Points as the (id, features, label) DataFrame that `SparkGBABS` reads. */
   def pointsToDF(spark: SparkSession, pts: Seq[Point]): DataFrame = {

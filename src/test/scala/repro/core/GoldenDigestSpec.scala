@@ -1,10 +1,7 @@
 package repro.core
 
-import java.io.{ByteArrayOutputStream, DataOutputStream}
-import java.security.MessageDigest
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.data.DatasetGen
-import scala.io.Source
 
 /** `GBABS.run` on all 13 dataset analogs x {0, 0.2} label noise at n = 3000
   * must reproduce the digests in `golden/gbabs-n3000.txt`. They were
@@ -14,10 +11,7 @@ import scala.io.Source
 class GoldenDigestSpec extends SparkSpec {
   import GoldenDigestSpec._
 
-  private val golden: Vector[String] = {
-    val src = Source.fromResource("golden/gbabs-n3000.txt")
-    try src.getLines().filterNot(l => l.isEmpty || l.startsWith("#")).toVector finally src.close()
-  }
+  private val golden: Vector[String] = TestData.golden("golden/gbabs-n3000.txt")
 
   test("GBABS.run reproduces the recorded digests at n = 3000") {
     val got = cases.map { case (i, nz) => line(i, nz) }
@@ -40,16 +34,12 @@ object GoldenDigestSpec {
   /** SHA-256 over the ordered ball member ids and radius bits, the noise ids
     * and the sampled ids, each list prefixed by its length.
     */
-  def digest(res: GBABSResult): String = {
-    val bytes = new ByteArrayOutputStream
-    val out = new DataOutputStream(bytes)
+  def digest(res: GBABSResult): String = TestData.sha256 { out =>
     def ids(ps: Seq[Point]): Unit = { out.writeInt(ps.size); ps.foreach(p => out.writeLong(p.id)) }
     out.writeInt(res.balls.size)
     res.balls.foreach { b => ids(b.points); out.writeLong(java.lang.Double.doubleToRawLongBits(b.radius)) }
     ids(res.noise)
     ids(res.sampled)
-    out.flush()
-    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map(b => f"${b & 0xff}%02x").mkString
   }
 
   /** One golden line: dataset, noise, counts and digest of `GBABS.run(rho = 5, seed = 42)`. */

@@ -1,12 +1,9 @@
 package repro.exp
 
-import java.io.{ByteArrayOutputStream, DataOutputStream}
-import java.security.MessageDigest
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.core.{GBABS, Point}
 import repro.data.DatasetGen
 import repro.ml.KNN
-import scala.io.Source
 
 /** The nearest-neighbour baselines and the kNN learner on all 13 dataset
   * analogs x {0, 0.2} label noise (fold 0, `maxN = 400`) must reproduce the
@@ -16,10 +13,7 @@ import scala.io.Source
 class BaselineDigestSpec extends SparkSpec {
   import BaselineDigestSpec._
 
-  private val golden: Vector[String] = {
-    val src = Source.fromResource("golden/baselines-n400.txt")
-    try src.getLines().filterNot(l => l.isEmpty || l.startsWith("#")).toVector finally src.close()
-  }
+  private val golden: Vector[String] = TestData.golden("golden/baselines-n400.txt")
 
   test("baseline samples and kNN predictions reproduce the recorded digests at maxN = 400") {
     val got = lines
@@ -32,16 +26,8 @@ object BaselineDigestSpec {
   val cfg: BenchConfig = BenchConfig(maxN = 400)
   val methods: Vector[String] = Vector("GGBS", "IGBS", "SRS", "SM", "BSM", "SMNC", "Tomek", "None")
 
-  private def sha256(write: DataOutputStream => Unit): String = {
-    val bytes = new ByteArrayOutputStream
-    val out = new DataOutputStream(bytes)
-    write(out)
-    out.flush()
-    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map(b => f"${b & 0xff}%02x").mkString
-  }
-
   /** SHA-256 over the ordered ids, labels and feature bits of a sample. */
-  def digest(ps: Seq[Point]): String = sha256 { out =>
+  def digest(ps: Seq[Point]): String = TestData.sha256 { out =>
     out.writeInt(ps.size)
     ps.foreach { pt =>
       out.writeLong(pt.id); out.writeInt(pt.label)
@@ -67,7 +53,7 @@ object BaselineDigestSpec {
       val (sampled, _) = Experiment.applyMethod(method, train, spec, cfg, seed, ratio)
       val pred = KNN(5).fit(sampled, seed).predictAll(test)
       s"${spec.id} $nz $method size=${sampled.size} sample=${digest(sampled)} " +
-        s"knn=${sha256(out => pred.foreach(out.writeInt))}"
+        s"knn=${TestData.sha256(out => pred.foreach(out.writeInt))}"
     }
 
   /** Prints the golden lines: `sbt "Test/runMain repro.exp.BaselineDigestSpec"`. */

@@ -1,11 +1,8 @@
 package repro.exp
 
-import java.io.{ByteArrayOutputStream, DataOutputStream}
-import java.security.MessageDigest
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.data.DatasetGen
 import repro.ml.DecisionTree
-import scala.io.Source
 
 /** `Experiment.runCell` on all 13 dataset analogs x {0, 0.2} label noise
   * (fold 0, `maxN = 300`) must reproduce the digests in
@@ -17,10 +14,7 @@ import scala.io.Source
 class CellDigestSpec extends SparkSpec {
   import CellDigestSpec._
 
-  private val golden: Vector[String] = {
-    val src = Source.fromResource("golden/cells-n300.txt")
-    try src.getLines().filterNot(l => l.isEmpty || l.startsWith("#")).toVector finally src.close()
-  }
+  private val golden: Vector[String] = TestData.golden("golden/cells-n300.txt")
 
   test("runCell reproduces the recorded accuracy, G-mean and ratio digests at maxN = 300") {
     val got = lines
@@ -35,23 +29,19 @@ object CellDigestSpec {
   /** SHA-256 over each result's method, learner and the raw bits of its
     * accuracy, G-mean and sampling ratio, in result order.
     */
-  def digest(results: Seq[CellResult]): String = {
-    val bytes = new ByteArrayOutputStream
-    val out = new DataOutputStream(bytes)
+  def digest(results: Seq[CellResult]): String = TestData.sha256 { out =>
     out.writeInt(results.size)
     results.foreach { r =>
       out.writeUTF(r.method); out.writeUTF(r.learner)
       Seq(r.acc, r.gmean, r.ratio).foreach(v => out.writeLong(java.lang.Double.doubleToRawLongBits(v)))
     }
-    out.flush()
-    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map(b => f"${b & 0xff}%02x").mkString
   }
 
   /** One line per (dataset, noise, path). */
   def lines: Vector[String] = {
     val paths = Vector(
       "table4" -> (Experiment.coreMethods, Experiment.learners(cfg)),
-      "fig9" -> (Experiment.imbalancedMethods, Vector(DecisionTree(maxDepth = cfg.dtDepth))))
+      "fig9" -> (Experiment.imbalancedMethods, Vector(DecisionTree())))
     for {
       i <- DatasetGen.specs.indices.toVector
       nz <- Vector(0.0, 0.2)

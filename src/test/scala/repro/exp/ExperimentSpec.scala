@@ -6,7 +6,7 @@ import repro.ml.DecisionTree
 class ExperimentSpec extends SparkSpec {
 
   private val cfg = BenchConfig.unit
-  private val dtOnly = Vector[repro.ml.Learner](DecisionTree(maxDepth = cfg.dtDepth))
+  private val dtOnly = Vector[repro.ml.Learner](DecisionTree())
 
   test("unit config keeps datasets small") {
     assert(cfg.maxN <= 300 && cfg.maxP <= 16)

@@ -24,6 +24,15 @@ class DecisionTreeSpec extends SparkSpec {
     assert(Metrics.accuracy(m.predictAll(test), test.map(_.label)) > 0.9)
   }
 
+  test("TreeNode.partition splits a sub-range in place and stably, leaving the rest") {
+    val rows = Array(9, 4, 7, 2, 8, 3, 6, 1, 5, 0)
+    val scratch = new Array[Int](rows.length)
+    assert(TreeNode.partition(rows, 2, 8, scratch, _ % 2 == 0) == 5)
+    assert(rows.toSeq == Seq(9, 4, 2, 8, 6, 7, 3, 1, 5, 0))
+    assert(TreeNode.partition(rows, 0, 4, scratch, _ => false) == 0)
+    assert(rows.toSeq == Seq(9, 4, 2, 8, 6, 7, 3, 1, 5, 0))
+  }
+
   test("maxDepth 0 yields the majority-class stump") {
     val data = TestData.pts1d((0.0, 0), (1.0, 0), (2.0, 1))
     val m = DecisionTree(maxDepth = 0).fit(data, seed = 0)
