@@ -30,15 +30,16 @@ object Neighbors {
     d(a) < d(b) || (d(a) == d(b) && key(a) < key(b))
 
   /** Bounded insertion top-k. `buf(0 until size)` holds the at most `k`
-    * best candidates so far, in [[before]] order; offers candidate `j` and
-    * returns the new size.
+    * best candidates so far, in (distance, `key`) order, and `bufD` their
+    * distances; offers candidate `j` at distance `dj` and returns the new size.
     */
-  def offer(buf: Array[Int], size: Int, k: Int, j: Int, d: Array[Double], key: Array[Long]): Int = {
+  def offer(buf: Array[Int], bufD: Array[Double], size: Int, k: Int, j: Int, dj: Double, key: Array[Long]): Int = {
+    def before(at: Int) = dj < bufD(at) || (dj == bufD(at) && key(j) < key(buf(at)))
     val full = size >= k
-    if (full && (k <= 0 || !before(j, buf(k - 1), d, key))) return size
+    if (full && (k <= 0 || !before(k - 1))) return size
     var at = if (full) k - 1 else size
-    while (at > 0 && before(j, buf(at - 1), d, key)) { buf(at) = buf(at - 1); at -= 1 }
-    buf(at) = j
+    while (at > 0 && before(at - 1)) { buf(at) = buf(at - 1); bufD(at) = bufD(at - 1); at -= 1 }
+    buf(at) = j; bufD(at) = dj
     if (full) size else size + 1
   }
 
@@ -50,11 +51,11 @@ object Neighbors {
                key: Array[Long], exclude: Int = -1): Array[Int] = {
     require(q.length == p, s"dimension mismatch: ${q.length} vs $p")
     val n = key.length
-    val d = new Array[Double](n)
     val buf = new Array[Int](math.max(0, math.min(k, n)))
+    val bufD = new Array[Double](buf.length)
     var size = 0; var j = 0
     while (j < n) {
-      if (j != exclude) { d(j) = sqDist(rows, j * p, q, 0, p); size = offer(buf, size, buf.length, j, d, key) }
+      if (j != exclude) size = offer(buf, bufD, size, buf.length, j, sqDist(rows, j * p, q, 0, p), key)
       j += 1
     }
     if (size == buf.length) buf else buf.take(size)

@@ -83,6 +83,7 @@ object RDGBG {
     private val dist = new Array[Double](n)
     private val prefix = new Array[Int](n)
     private val nearest = new Array[Int](math.min(rho, n))
+    private val nearestD = new Array[Double](nearest.length)
     /** Centers (row-major) and radii of the balls generated so far, for Eq.4. */
     private val ballX = new Array[Double](n * p)
     private val ballR = new Array[Double](n)
@@ -221,7 +222,7 @@ object RDGBG {
       var size = 0; var k = 0
       while (k < liveN) {
         val j = live(k)
-        if (inU(j) && j != c) size = Neighbors.offer(nearest, size, avail, j, dist, ids)
+        if (inU(j) && j != c) size = Neighbors.offer(nearest, nearestD, size, avail, j, dist(j), ids)
         k += 1
       }
       var h = 0; var i = 0

@@ -123,9 +123,12 @@ object DatasetGen {
       var i = 0
       while (i < counts(cls)) {
         val c = cents(cls)(rng.nextInt(spec.clusters))
-        val x = Array.tabulate(p) { d =>
+        val x = new Array[Double](p)
+        var d = 0
+        while (d < p) {
           val v = c(d) + rng.nextGaussian()
-          if (spec.catIdx.contains(d)) math.round(v * 2.0) / 2.0 else v
+          x(d) = if (spec.catIdx.contains(d)) math.round(v * 2.0) / 2.0 else v
+          d += 1
         }
         pts += Point(x, cls, id)
         id += 1; i += 1
@@ -186,7 +189,10 @@ object DatasetGen {
     }
     val std = varr.map(v => math.max(math.sqrt(v / train.size), 1e-9))
     def tx(pts: Vector[Point]) = pts.map { pt =>
-      pt.copy(features = Array.tabulate(p)(d => (pt.features(d) - mean(d)) / std(d)))
+      val z = new Array[Double](p)
+      var d = 0
+      while (d < p) { z(d) = (pt.features(d) - mean(d)) / std(d); d += 1 }
+      pt.copy(features = z)
     }
     (tx(train), tx(test))
   }

@@ -109,14 +109,12 @@ object Experiment {
               methods: Vector[String], useLearners: Vector[Learner]): Vector[CellResult] = {
     val (spec, train, test) = foldData(key, cfg)
     val seed = cellSeed(cfg, key)
-    lazy val gbabs = GBABS.run(train, cfg.rho, seed)
-    lazy val gbabsRatio = if (gbabs.sampled.isEmpty) 1.0 else gbabs.samplingRatio
+    // The ratio argument sizes SRS only; GBABS does not read it.
+    lazy val gbabs = applyMethod("GBABS", train, spec, cfg, seed, gbabsRatio = 1.0)
     val actual = test.map(_.label)
     for {
       method <- methods
-      (sampled, ratio) =
-        if (method == "GBABS") nonEmptyOr(train, gbabs.sampled)
-        else applyMethod(method, train, spec, cfg, seed, gbabsRatio)
+      (sampled, ratio) = if (method == "GBABS") gbabs else applyMethod(method, train, spec, cfg, seed, gbabs._2)
       learner <- useLearners
     } yield {
       val model = learner.fit(sampled, seed)

@@ -157,16 +157,10 @@ object Tables {
     val keys = Experiment.gridKeys(cfg, Seq(noise))
     val results = Experiment.runGrid(spark, keys, cfg, Experiment.imbalancedMethods, dt)
     val gmean = means(results, _.gmean)(r => (r.specId, r.method))
-    val perDataset = DatasetGen.specs.map { spec =>
-      Experiment.imbalancedMethods.map(m => m -> gmean((spec.id, m)))
-    }
-    val ranks = perDataset.map { ms =>
-      // rank by descending G-mean; ties share the mean rank
-      val sorted = ms.sortBy { case (m, g) => (-g, m) }
-      sorted.zipWithIndex.groupBy(_._1._2).flatMap { case (_, grp) =>
-        val meanRank = grp.map(_._2 + 1.0).sum / grp.size
-        grp.map { case ((m, _), _) => m -> meanRank }
-      }
+    val ranks = DatasetGen.specs.map { spec =>
+      // Rank by descending G-mean; ties share the mean rank.
+      val negated = Experiment.imbalancedMethods.map(m => -gmean((spec.id, m))).toArray
+      Experiment.imbalancedMethods.zip(Wilcoxon.ranks(negated)).toMap
     }
     Experiment.imbalancedMethods.map(m => m -> mean(ranks.map(_(m)))).toMap
   }

@@ -110,6 +110,8 @@ object DecisionTree {
     val k = labels.length
     val keys = new Array[Long](rows.length)
     val scratch = new Array[Int](rows.length)
+    // The features a node searches, in order: its first `searched` entries.
+    val feats = new Array[Int](p)
     // The class counts of the node being grown, then of its split sides.
     val cnt, cntL, cntR = new Array[Int](k)
     // Best split found so far at the node being searched.
@@ -153,11 +155,19 @@ object DecisionTree {
       val label = labels(best).toDouble
       if (depth >= maxDepth || cnt(best) == hi - lo) Leaf(label)
       else {
-        val feats: Seq[Int] =
-          if (featuresPerSplit <= 0 || featuresPerSplit >= p) 0 until p
-          else rng.shuffle((0 until p).toVector).take(featuresPerSplit)
+        t = 0
+        while (t < p) { feats(t) = t; t += 1 }
+        val searched =
+          if (featuresPerSplit <= 0 || featuresPerSplit >= p) p
+          else {
+            // Random.shuffle's draws in its order: for n = p down to 2, swap n - 1 with nextInt(n).
+            var n = p
+            while (n >= 2) { val j = rng.nextInt(n); val e = feats(n - 1); feats(n - 1) = feats(j); feats(j) = e; n -= 1 }
+            featuresPerSplit
+          }
         bestF = -1; bestImp = Double.PositiveInfinity
-        feats.foreach(search(lo, hi, _))
+        t = 0
+        while (t < searched) { search(lo, hi, feats(t)); t += 1 }
         val (f, thr) = (bestF, bestThr)
         if (f < 0) Leaf(label)
         else {

@@ -70,13 +70,13 @@ class NeighborsDiffSpec extends SparkSpec {
   test("offer keeps the k smallest by (d, key) in order and rejects what does not come before the last kept") {
     val d = Array(3.0, 1.0, 2.0, 1.0, 2.0)
     val key = Array(0L, 9L, 5L, 2L, 4L)
-    val buf = new Array[Int](3)
+    val buf = new Array[Int](3); val bufD = new Array[Double](3)
     var size = 0
-    for (j <- d.indices) size = Neighbors.offer(buf, size, 3, j, d, key)
+    for (j <- d.indices) size = Neighbors.offer(buf, bufD, size, 3, j, d(j), key)
     assert(size == 3 && buf.toVector == Vector(3, 1, 4))
-    assert(Neighbors.offer(buf, size, 3, 2, d, key) == 3 && buf.toVector == Vector(3, 1, 4))
-    assert(Neighbors.offer(buf, size, 3, 4, d, key) == 3 && buf.toVector == Vector(3, 1, 4))
-    assert(Neighbors.offer(new Array[Int](0), 0, 0, 0, d, key) == 0)
+    assert(Neighbors.offer(buf, bufD, size, 3, 2, d(2), key) == 3 && buf.toVector == Vector(3, 1, 4))
+    assert(Neighbors.offer(buf, bufD, size, 3, 4, d(4), key) == 3 && buf.toVector == Vector(3, 1, 4))
+    assert(Neighbors.offer(new Array[Int](0), new Array[Double](0), 0, 0, 0, d(0), key) == 0)
   }
 
   test("kNearest rejects a query of the wrong dimension") {
