@@ -17,7 +17,7 @@ class GmeanRankingBench extends SparkSpec {
     val noisy = Tables.gmeanRanking(spark, cfg, noise = 0.20)
     val secs = (System.nanoTime() - t0) / 1e9
     println(f"\n== Mean rank of DT G-mean across datasets (Fig 9 data; 1 = best) — ${secs}%.1f s ==")
-    println(f"${"method"}%-8s ${"0%% noise"}%10s ${"20%% noise"}%10s")
+    println(f"${"method"}%-8s ${"0% noise"}%10s ${"20% noise"}%10s")
     Experiment.imbalancedMethods.sortBy(noisy(_)).foreach { m =>
       println(f"  $m%-8s ${clean(m)}%8.2f ${noisy(m)}%10.2f")
     }

@@ -37,10 +37,20 @@ final case class GranularBall(
     Point.dist(center, other.center) < radius + other.radius - eps
 
   /** The sample with the extreme value along dimension `d`:
-    * largest if `largest`, else smallest. Used by GBABS boundary picking.
+    * largest if `largest`, else smallest; the first such sample on a tie,
+    * in `java.lang.Double.compare` order (-0.0 below 0.0), as `maxBy` and
+    * `minBy` pick it. Used by GBABS boundary picking.
     */
-  def extremeAlong(d: Int, largest: Boolean): Point =
-    if (largest) points.maxBy(_.features(d)) else points.minBy(_.features(d))
+  def extremeAlong(d: Int, largest: Boolean): Point = {
+    var best = points(0)
+    var i = 1
+    while (i < points.length) {
+      val c = java.lang.Double.compare(points(i).features(d), best.features(d))
+      if (if (largest) c > 0 else c < 0) best = points(i)
+      i += 1
+    }
+    best
+  }
 }
 
 object GranularBall {

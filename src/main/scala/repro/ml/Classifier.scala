@@ -1,13 +1,30 @@
 package repro.ml
 
+import java.util.stream.IntStream
 import repro.core.Point
 
-/** A fitted model: predicts a class label for a feature vector. */
+/** A fitted model: predicts a class label for a feature vector.
+  * `predict` must be thread-safe: [[predictAll]] calls it from many threads.
+  */
 trait Classifier extends Serializable {
   def predict(x: Array[Double]): Int
 
-  /** Predict every point in a test set. */
-  def predictAll(test: Seq[Point]): Vector[Int] = test.iterator.map(p => predict(p.features)).toVector
+  /** Predict every point in a test set, the points concurrently. */
+  def predictAll(test: Seq[Point]): Vector[Int] = {
+    val pts = test.toIndexedSeq
+    val out = new Array[Int](pts.size)
+    Classifier.inParallel(out.length)(i => out(i) = predict(pts(i).features))
+    out.toVector
+  }
+}
+
+object Classifier {
+  /** Runs `body(0)` … `body(n - 1)` concurrently on the common fork-join
+    * pool (the caller helps), returning once all are done. The pool's size
+    * is capped by the JDK property `java.util.concurrent.ForkJoinPool.common.parallelism`.
+    */
+  private[ml] def inParallel(n: Int)(body: Int => Unit): Unit =
+    IntStream.range(0, n).parallel().forEach(i => body(i))
 }
 
 /** A trainable classification algorithm (the paper's downstream models). */

@@ -53,8 +53,9 @@ final case class GBDT(
 
     // Row-major n x k scores and softmax probabilities, reused every round.
     val scores, probs = new Array[Double](n * k)
-    val g, h, weight = new Array[Double](n)
-    val grower = new GBDT.Grower(binOf, cuts, g, h, weight, maxDepth, maxLeaves)
+    // One grower per class, each with its own gradients, weights and buffers,
+    // so a round's k trees grow concurrently from the same softmax.
+    val growers = Array.fill(k)(new GBDT.Grower(binOf, cuts, n, maxDepth, maxLeaves))
     val allTrees = Vector.newBuilder[Array[TreeNode]]
 
     var round = 0
@@ -71,9 +72,9 @@ final case class GBDT(
         c = 0; while (c < k) { probs(o + c) /= s; c += 1 }
         i += 1
       }
-      var cls = 0
-      while (cls < k) {
-        i = 0
+      Classifier.inParallel(k) { cls =>
+        val grower = growers(cls); import grower.{g, h}
+        var i = 0
         while (i < n) {
           val pi = probs(i * k + cls)
           g(i) = pi - (if (ys(i) == cls) 1.0 else 0.0)
@@ -81,6 +82,10 @@ final case class GBDT(
           i += 1
         }
         roundTrees(cls) = grower.grow()
+      }
+      var cls = 0
+      while (cls < k) {
+        val weight = growers(cls).weight
         i = 0
         while (i < n) { scores(i * k + cls) += learningRate * weight(i); i += 1 }
         cls += 1
@@ -113,24 +118,31 @@ object GBDT {
     var left, right: MNode = _
   }
 
-  /** Grows a fit's regression trees on the binned matrix and the current
-    * `g` and `h`, best first: the open node of largest split gain is split
-    * next. A node is open when its depth is below `maxDepth` and it has a
-    * positive-gain split; a tree stops at `maxLeaves` leaves. Each row's leaf
-    * weight goes to `weight`; the row reaches that leaf through the returned
-    * tree too, since `bin <= cutBin` holds exactly when `x <= cuts(cutBin)`.
+  /** Open nodes by gain, in the total order of the implicit `Ordering[Double]`, without boxing. */
+  private object ByGain extends Ordering[MNode] {
+    def compare(a: MNode, b: MNode): Int = java.lang.Double.compare(a.gain, b.gain)
+  }
+
+  /** Grows one class's regression trees on the binned matrix (read only)
+    * and its own `g` and `h` over `n` rows, best first: the open node of
+    * largest split gain is split next. A node is open when its depth is
+    * below `maxDepth` and it has a positive-gain split; a tree stops at
+    * `maxLeaves` leaves. Each row's leaf weight goes to `weight`; the row
+    * reaches that leaf through the returned tree too, since `bin <= cutBin`
+    * holds exactly when `x <= cuts(cutBin)`. Every buffer it writes is its
+    * own, so growers of different classes may grow at the same time.
     */
   private final class Grower(
-      binOf: Array[Array[Int]], cuts: Array[Array[Double]],
-      g: Array[Double], h: Array[Double], weight: Array[Double],
+      binOf: Array[Array[Int]], cuts: Array[Array[Double]], n: Int,
       maxDepth: Int, maxLeaves: Int) {
+    val g, h, weight = new Array[Double](n)
     private val hg, hh = new Array[Double](Bins + 1)
     private val hc = new Array[Int](Bins + 1)
     // The tree's rows; a node is a range of them, in the root's order as the
     // partition is stable, so its float sums add in one order however it grows.
-    private val rows, scratch = new Array[Int](g.length)
+    private val rows, scratch = new Array[Int](n)
     // A node's gradients and hessians in row order, read once per feature.
-    private val gn, hn = new Array[Double](g.length)
+    private val gn, hn = new Array[Double](n)
 
     /** Records `node`'s best histogram split (a later candidate wins only
       * with a strictly larger gain); false if none has positive gain. */
@@ -172,20 +184,20 @@ object GBDT {
       found
     }
 
-    private def freeze(n: MNode): TreeNode =
-      if (n.left == null) {
+    private def freeze(node: MNode): TreeNode =
+      if (node.left == null) {
         var gs = 0.0; var hs = 0.0
-        var t = n.lo
-        while (t < n.hi) { gs += g(rows(t)); hs += h(rows(t)); t += 1 }
+        var t = node.lo
+        while (t < node.hi) { gs += g(rows(t)); hs += h(rows(t)); t += 1 }
         val w = -gs / (hs + Lambda) // Newton weight
-        t = n.lo
-        while (t < n.hi) { weight(rows(t)) = w; t += 1 }
+        t = node.lo
+        while (t < node.hi) { weight(rows(t)) = w; t += 1 }
         Leaf(w)
-      } else Split(n.feature, cuts(n.feature)(n.cutBin), freeze(n.left), freeze(n.right))
+      } else Split(node.feature, cuts(node.feature)(node.cutBin), freeze(node.left), freeze(node.right))
 
     def grow(): TreeNode = {
-      val open = mutable.PriorityQueue.empty[MNode](Ordering.by[MNode, Double](_.gain))
-      def offer(node: MNode): Unit = if (node.depth < maxDepth && bestSplit(node)) open.enqueue(node)
+      val open = mutable.PriorityQueue.empty[MNode](ByGain)
+      def offer(node: MNode): Unit = if (node.depth < maxDepth && bestSplit(node)) open += node
       var t = 0
       while (t < rows.length) { rows(t) = t; t += 1 }
       val root = new MNode(0, rows.length, 0)

@@ -15,13 +15,22 @@ final case class RandomForest(nTrees: Int = 25) extends Learner {
     val rng = new Random(seed)
     val n = all.ys.length
     val mtry = math.max(1, math.round(math.sqrt(all.code.length.toDouble)).toInt)
-    val trees = Vector.fill(nTrees) {
-      val draws = new Array[Int](n) // the bootstrap sample, a row once per draw
+    // Every tree's bootstrap sample (a row once per draw) and seed, drawn in
+    // tree order; then the trees grow concurrently over the one `all`.
+    val draws = Array.fill(nTrees)(new Array[Int](n))
+    val seeds = new Array[Long](nTrees)
+    var t = 0
+    while (t < nTrees) {
       var j = 0
-      while (j < n) { draws(j) = rng.nextInt(n); j += 1 }
-      DecisionTree.build(all, draws, maxDepth = 15, mtry, new Random(rng.nextLong()))
+      while (j < n) { draws(t)(j) = rng.nextInt(n); j += 1 }
+      seeds(t) = rng.nextLong()
+      t += 1
     }
-    new ForestModel(trees)
+    val trees = new Array[TreeModel](nTrees)
+    Classifier.inParallel(nTrees) { i =>
+      trees(i) = DecisionTree.build(all, draws(i), maxDepth = 15, mtry, new Random(seeds(i)))
+    }
+    new ForestModel(trees.toVector)
   }
 }
 

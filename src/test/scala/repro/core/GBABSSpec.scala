@@ -94,6 +94,17 @@ class GBABSSpec extends SparkSpec {
     }
   }
 
+  test("extremeAlong picks the sample maxBy and minBy pick, including ties, -0.0 and infinities") {
+    for (values <- columns(59) if values.nonEmpty) {
+      val pts = values.indices.map(i => Point(Array(values(i), -values(i)), 0, i.toLong)).toVector
+      val ball = GranularBall(Array(0.0, 0.0), 0.0, 0, pts)
+      for (d <- 0 until 2) {
+        assert(ball.extremeAlong(d, largest = true).id == pts.maxBy(_.features(d)).id)
+        assert(ball.extremeAlong(d, largest = false).id == pts.minBy(_.features(d)).id)
+      }
+    }
+  }
+
   test("sampleBalls keeps the borderline set and sampled order of the tuple-sort version") {
     for (seed <- 0 until 6; nz <- Seq(0.0, 0.3)) {
       val clean = TestData.blobs(3, 40, dim = 3, sep = 3.0, seed = 50 + seed)

@@ -1,8 +1,9 @@
 package repro.ml
 
+import java.util.concurrent.{Callable, Executors}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.core.Point
 import repro.core.RDGBGDiffSpec.{Layout, cases, quantized}
 import repro.data.DatasetGen
@@ -60,6 +61,20 @@ class TreeDiffSpec extends SparkSpec {
         fail(s"${DatasetGen.specs(i).id} at noise $nz, draw $draw: $d")
       }
     }
+  }
+
+  test("fits from 4 threads at once predict exactly as a lone fit") {
+    // Grid tasks fit at the same time, and each fit fans out into the common pool.
+    val train = DatasetGen.withNoise(TestData.blobs(4, 60, dim = 3, sep = 3.0, seed = 11), 0.2, seed = 12)
+    val test = TestData.blobs(4, 25, dim = 3, sep = 3.0, seed = 13)
+    val learners = Vector(GBDT.xgboostLike(10), GBDT.lightgbmLike(10), RandomForest(nTrees = 12))
+    def predictions(): Vector[Vector[Int]] = learners.map(_.fit(train, 5).predictAll(train ++ test))
+    val lone = predictions()
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val runs = Vector.fill(4)(pool.submit(new Callable[Vector[Vector[Int]]] { def call() = predictions() }))
+      runs.foreach(run => assert(run.get() == lone))
+    } finally pool.shutdown()
   }
 }
 
