@@ -26,7 +26,7 @@ class TableIVBench extends SparkSpec {
     // Shape 1: accuracy decays monotonically (within tolerance) as noise grows.
     for (l <- learnerNames; m <- Experiment.coreMethods) {
       val accs = Tables.noiseRatios.map(nz => cells((l, m, nz)))
-      accs.sliding(2).foreach { case Seq(a, b) =>
+      accs.zip(accs.tail).foreach { case (a, b) =>
         assert(b <= a + 0.03, f"$l-$m: accuracy should decay with noise ($accs)")
       }
     }

@@ -38,11 +38,12 @@ object GBABS {
     val chosen = mutable.LinkedHashMap.empty[Long, Point]
     val borderline = mutable.Set.empty[Int]
     if (balls.size >= 2) {
-      val centers = Array.ofDim[Double](p, balls.size)
-      balls.indices.foreach(i => (0 until p).foreach(d => centers(d)(i) = balls(i).center(d)))
+      val column = new Array[Double](balls.size) // the centers' d-th coordinates
       var d = 0
       while (d < p) {
-        val order = orderAlong(centers(d))
+        var i = 0
+        while (i < column.length) { column(i) = balls(i).center(d); i += 1 }
+        val order = orderAlong(column)
         var k = 0
         while (k < order.length - 1) {
           val j = order(k); val j2 = order(k + 1)

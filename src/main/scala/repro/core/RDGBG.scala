@@ -25,11 +25,14 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   * undivided sample is low-density; remaining samples become radius-0
   * orphan balls (completeness).
   *
-  * Cost: each candidate attempt is one O(|U|·p) scan of primitive distances
-  * over the undivided set U, with no sort. The scan finds the nearest sample
-  * by (distance, id) and the nearest heterogeneous distances; Eq.2 takes
-  * the ρ nearest from a bounded insertion buffer over the stored distances,
-  * and only the members of a new ball are sorted. Every distance is
+  * Cost: the per-class sizes of T = U - L are kept where samples leave U
+  * or join L, so an iteration draws its candidates in one pass over U,
+  * which also compacts it. Each candidate attempt is one O(|U|·p) scan of
+  * primitive distances over U, with no sort. The scan finds the nearest
+  * sample by (distance, id) and the nearest heterogeneous distances; Eq.2
+  * takes the ρ nearest from a bounded insertion buffer over the stored
+  * distances. One more pass over the stored distances collects the ball's
+  * members (Eq.3–6), and only they are sorted. Every distance is
   * `math.sqrt` of the left-to-right sum of [[Neighbors.sqDist]], and the
   * nearest sample, Eq.2's buffer and the member sort all use the
   * [[Neighbors]] order by (distance, id), so the balls equal those of a
@@ -37,7 +40,9 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   * prefix of Eq.3 ends at the first heterogeneous sample, and homogeneous
   * samples tied with it at the same distance are cut so no heterogeneous
   * sample lies on the ball (purity 1.0); the prefix is therefore exactly
-  * the samples strictly closer than the nearest heterogeneous one.
+  * the samples strictly closer than the nearest heterogeneous one. Eq.5
+  * and 6 then reduce to one rule: the radius is the largest prefix
+  * distance within the conflict radius of Eq.4.
   */
 object RDGBG {
 
@@ -57,7 +62,8 @@ object RDGBG {
   }
 
   /** State of one `generate` call. Samples are addressed by their index in
-    * `pts`; U and L (L subset of U) are flags with counts.
+    * `pts`; U and L (L subset of U) are flags, with the size of U and
+    * the per-class sizes of T = U - L.
     */
   private final class Granulation(pts: Array[Point], rho: Int, rng: Random) {
     private val n = pts.length
@@ -72,7 +78,9 @@ object RDGBG {
     private val inU = Array.fill(n)(true)
     private val inL = new Array[Boolean](n)
     private var uSize = n
-    private var lSize = 0
+    /** Per-class size of T = U - L. */
+    private val tCount = new Array[Int](labels.length)
+    cls.foreach(g => tCount(g) += 1)
     /** U in data order, compacted once per iteration; samples may leave U
       * during an iteration, so every pass also tests `inU`.
       */
@@ -81,7 +89,7 @@ object RDGBG {
 
     /** Distance of each sample in U to the current candidate. */
     private val dist = new Array[Double](n)
-    private val prefix = new Array[Int](n)
+    private val member = new Array[Int](n)
     private val nearest = new Array[Int](math.min(rho, n))
     private val nearestD = new Array[Double](nearest.length)
     /** Centers (row-major) and radii of the balls generated so far, for Eq.4. */
@@ -93,28 +101,24 @@ object RDGBG {
     private val noise = Vector.newBuilder[Point]
 
     def run(): RDGBGResult = {
-      val tCount = new Array[Int](labels.length)
       val kth = new Array[Int](labels.length)
       val pick = new Array[Int](labels.length)
-      while (uSize > lSize) {
-        var w = 0; var k = 0
-        while (k < liveN) { val i = live(k); if (inU(i)) { live(w) = i; w += 1 }; k += 1 }
-        liveN = w
-
+      while (tCount.exists(_ > 0)) {
         // T = U - L, grouped by label, larger groups first. Each group draws
-        // k and offers its k-th member in data order as the candidate.
-        java.util.Arrays.fill(tCount, 0)
-        k = 0
-        while (k < liveN) { val i = live(k); if (!inL(i)) tCount(cls(i)) += 1; k += 1 }
+        // k and offers its k-th member in data order as the candidate; the
+        // same pass compacts U.
         val groups = labels.indices.filter(tCount(_) > 0).sortBy(g => -tCount(g))
         groups.foreach(g => kth(g) = rng.nextInt(tCount(g)))
-        java.util.Arrays.fill(tCount, 0)
-        k = 0
+        var w = 0; var k = 0
         while (k < liveN) {
           val i = live(k)
-          if (!inL(i)) { val g = cls(i); if (tCount(g) == kth(g)) pick(g) = i; tCount(g) += 1 }
+          if (inU(i)) {
+            live(w) = i; w += 1
+            if (!inL(i)) { val g = cls(i); if (kth(g) == 0) pick(g) = i; kth(g) -= 1 }
+          }
           k += 1
         }
+        liveN = w
 
         groups.foreach { g => val c = pick(g); if (inU(c) && !inL(c)) attempt(c) }
       }
@@ -169,19 +173,6 @@ object RDGBG {
         }
       }
 
-      // Eq.3: the homogeneous samples strictly closer than the nearest
-      // heterogeneous one; cr is their largest distance.
-      var m = 0; var cr = 0.0
-      k = 0
-      while (k < liveN) {
-        val j = live(k)
-        if (inU(j) && j != c && cls(j) == lc && (het == 0 || dist(j) < hetD)) {
-          prefix(m) = j; m += 1
-          if (dist(j) > cr) cr = dist(j)
-        }
-        k += 1
-      }
-
       // Eq.4: distance to the closest previously generated ball.
       var rConf = Double.PositiveInfinity
       var b = 0
@@ -194,17 +185,22 @@ object RDGBG {
         b += 1
       }
 
-      // Eq.5/6: restrict the consistent radius by the conflict radius.
-      val r =
-        if (cr <= rConf) cr
-        else {
-          var rm = 0.0; var i = 0
-          while (i < m) { val d = dist(prefix(i)); if (d <= rConf && d > rm) rm = d; i += 1 }
-          rm
+      // Eq.3/5/6: the members are the homogeneous samples strictly closer than
+      // the nearest heterogeneous one and within rConf; r, their largest
+      // distance, is Eq.5's CR when CR <= rConf and Eq.6's radius otherwise.
+      var m = 0; var r = 0.0
+      k = 0
+      while (k < liveN) {
+        val j = live(k)
+        if (inU(j) && j != c && cls(j) == lc && (het == 0 || dist(j) < hetD) && dist(j) <= rConf) {
+          member(m) = j; m += 1
+          if (dist(j) > r) r = dist(j)
         }
+        k += 1
+      }
 
       if (r > 0.0) {
-        val inside = prefix.take(m).filter(dist(_) <= r).sortWith(Neighbors.before(_, _, dist, ids))
+        val inside = member.take(m).sortWith(Neighbors.before(_, _, dist, ids))
         val members = (inside.iterator.map(pts(_)) ++ Iterator.single(pts(c))).toVector
         balls += GranularBall(pts(c).features, r, pts(c).label, members)
         System.arraycopy(x, cOff, ballX, ballN * p, p)
@@ -232,9 +228,9 @@ object RDGBG {
 
     private def leaveU(i: Int): Unit = {
       inU(i) = false; uSize -= 1
-      if (inL(i)) { inL(i) = false; lSize -= 1 }
+      if (inL(i)) inL(i) = false else tCount(cls(i)) -= 1
     }
 
-    private def markLow(i: Int): Unit = { inL(i) = true; lSize += 1 }
+    private def markLow(i: Int): Unit = { inL(i) = true; tCount(cls(i)) -= 1 }
   }
 }

@@ -151,6 +151,62 @@ class RDGBGSpec extends SparkSpec {
     }
   }
 
+  // Class 0 is (-5, 0) and (5, 0). Whichever is drawn, it goes first (a tie
+  // with class 1 keeps label order) and builds a ball of radius 10 around
+  // itself. Class 1's c = (0, 12) is then 13 from that center, so its
+  // conflict radius (Eq.4) is exactly 3. The other class-1 sample is closer
+  // to class 0's ball than 3, so its own attempt ends with r = 0.
+  private def conflictCase(belowC: Double): Vector[Point] =
+    TestData.pts((Seq(-5.0, 0.0), 0), (Seq(5.0, 0.0), 0), (Seq(0.0, belowC), 1), (Seq(0.0, 12.0), 1))
+
+  test("a homogeneous sample exactly at the conflict radius joins the ball, one beyond it does not") {
+    val at = conflictCase(9.0) // 3 below c: Eq.6 keeps d <= rConf
+    val beyond = conflictCase(8.99)
+    for (seed <- 0 until 50) {
+      val res = RDGBG.generate(at, rho = 3, seed = seed)
+      checkInvariants(at, res)
+      val ball = res.balls.find(_.label == 1).get
+      assert(res.balls.size == 2 && res.noise.isEmpty, s"seed $seed")
+      assert(ball.center.toSeq == Seq(0.0, 12.0) && ball.radius == 3.0, s"seed $seed")
+      assert(ball.points.map(_.id).sorted == Vector(2L, 3L), s"seed $seed")
+
+      val res2 = RDGBG.generate(beyond, rho = 3, seed = seed)
+      checkInvariants(beyond, res2)
+      assert(res2.balls.filter(_.label == 1).forall(_.isOrphan), s"seed $seed")
+      assert(res2.balls.size == 3 && res2.noise.isEmpty, s"seed $seed")
+    }
+  }
+
+  test("a sample marked low-density is later absorbed into another ball") {
+    // Class 0 (c = -1, a = 0) ties with class 1, so it draws first, and a
+    // seed whose first rng.nextInt(2) is 1 offers a. a sees two of its three
+    // nearest as class 1 (Eq.2: neither noise nor a center) and is marked
+    // low-density; c's ball takes it in later. Drawn first, c takes a at once.
+    val data = TestData.pts1d((-1.0, 0), (0.0, 0), (0.5, 1), (0.6, 1))
+    val seeds = 0 until 50
+    assert(seeds.exists(s => new scala.util.Random(s).nextInt(2) == 1), "no seed draws a first")
+    for (seed <- seeds) {
+      val res = RDGBG.generate(data, rho = 3, seed = seed)
+      checkInvariants(data, res)
+      assert(res.noise.isEmpty && res.balls.size == 2, s"seed $seed")
+      val ball = res.balls.find(_.label == 0).get
+      assert(ball.center.toSeq == Seq(-1.0) && ball.radius == 1.0, s"seed $seed")
+      assert(ball.points.map(_.id).sorted == Vector(0L, 1L), s"seed $seed")
+    }
+  }
+
+  test("when T empties while U is not empty, the rest become orphans") {
+    // Alternating classes: every candidate has 2 heterogeneous samples among
+    // its 3 nearest, so each is marked low-density and no ball is built.
+    val data = TestData.pts1d((0.0, 0), (1.0, 1), (2.0, 0), (3.0, 1))
+    for (seed <- 0 until 50) {
+      val res = RDGBG.generate(data, rho = 3, seed = seed)
+      checkInvariants(data, res)
+      assert(res.noise.isEmpty, s"seed $seed")
+      assert(res.balls.size == 4 && res.balls.forall(_.isOrphan), s"seed $seed")
+    }
+  }
+
   test("noisy datasets shed noise: more label noise, more removals") {
     val clean = TestData.twoBlobs(120, sep = 10.0, seed = 11)
     val noisy = repro.data.DatasetGen.withNoise(clean, 0.2, seed = 12)
