@@ -27,22 +27,31 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   *
   * Cost: the per-class sizes of T = U - L are kept where samples leave U
   * or join L, so an iteration draws its candidates in one pass over U,
-  * which also compacts it. Each candidate attempt is one O(|U|·p) scan of
-  * primitive distances over U, with no sort. The scan finds the nearest
-  * sample by (distance, id) and the nearest heterogeneous distances; Eq.2
-  * takes the ρ nearest from a bounded insertion buffer over the stored
-  * distances. One more pass over the stored distances collects the ball's
-  * members (Eq.3–6), and only they are sorted. Every distance is
-  * `math.sqrt` of the left-to-right sum of [[Neighbors.sqDist]], and the
-  * nearest sample, Eq.2's buffer and the member sort all use the
-  * [[Neighbors]] order by (distance, id), so the balls equal those of a
-  * full (distance, id) sort of U. In that sort the homogeneous
-  * prefix of Eq.3 ends at the first heterogeneous sample, and homogeneous
-  * samples tied with it at the same distance are cut so no heterogeneous
-  * sample lies on the ball (purity 1.0); the prefix is therefore exactly
-  * the samples strictly closer than the nearest heterogeneous one. Eq.5
-  * and 6 then reduce to one rule: the radius is the largest prefix
-  * distance within the conflict radius of Eq.4.
+  * which also compacts it. At the start each sample's K = 16 nearest other
+  * samples by (distance, id) are listed once, an O(n²·p) build run on every
+  * core through [[Parallel.forEach]]. An attempt walks its candidate's
+  * list, skipping samples no longer in U: what is left is the nearest part
+  * of U in (distance, id) order, and it decides Eq.2–6 when it holds all
+  * the attempt reads (the four conditions of `fromList`). Otherwise, with
+  * nothing changed, the attempt falls back to one O(|U|·p) scan of
+  * primitive distances over U, with no sort: the nearest sample by
+  * (distance, id) and the nearest heterogeneous distances, Eq.2's ρ
+  * nearest from a bounded insertion buffer, and one more pass for the
+  * ball's members (Eq.3–6), which alone are sorted. On the 20 %-noise
+  * benchmark datasets (S5, S8, S10, S13) the scan answered 0.2–9 % of the
+  * attempts at n = 1500 and 1–13 % at n = 6000; K = 32 cut that to 0–2 %
+  * and 0–4.4 %, but its longer build made the n = 1500 calls slower.
+  * Every distance is `math.sqrt` of the left-to-right sum of
+  * [[Neighbors.sqDist]], and the lists, the nearest sample, Eq.2's buffer
+  * and the member sort all use the [[Neighbors]] order by (distance, id),
+  * so the balls equal those of a full (distance, id) sort of U. In that
+  * sort the homogeneous prefix of Eq.3 ends at the first heterogeneous
+  * sample, and homogeneous samples tied with it at the same distance are
+  * cut so no heterogeneous sample lies on the ball (purity 1.0); the
+  * prefix is therefore exactly the samples strictly closer than the
+  * nearest heterogeneous one. Eq.5 and 6 then reduce to one rule: the
+  * radius is the largest prefix distance within the conflict radius of
+  * Eq.4.
   */
 object RDGBG {
 
@@ -61,9 +70,14 @@ object RDGBG {
     new Granulation(pts, rho, new Random(seed)).run()
   }
 
+  /** Length of each sample's nearest-neighbour list. */
+  private val K = 16
+  /** Samples whose lists one parallel task builds, sharing its buffers. */
+  private val Block = 64
+
   /** State of one `generate` call. Samples are addressed by their index in
-    * `pts`; U and L (L subset of U) are flags, with the size of U and
-    * the per-class sizes of T = U - L.
+    * `pts`; U and L (L subset of U) are flags, with the size of U, the
+    * per-class sizes of U and the per-class sizes of T = U - L.
     */
   private final class Granulation(pts: Array[Point], rho: Int, rng: Random) {
     private val n = pts.length
@@ -78,23 +92,34 @@ object RDGBG {
     private val inU = Array.fill(n)(true)
     private val inL = new Array[Boolean](n)
     private var uSize = n
-    /** Per-class size of T = U - L. */
+    /** Per-class sizes of U and of T = U - L. */
+    private val uCount = new Array[Int](labels.length)
     private val tCount = new Array[Int](labels.length)
-    cls.foreach(g => tCount(g) += 1)
+    cls.foreach { g => uCount(g) += 1; tCount(g) += 1 }
     /** U in data order, compacted once per iteration; samples may leave U
       * during an iteration, so every pass also tests `inU`.
       */
     private val live = Array.range(0, n)
     private var liveN = n
 
-    /** Distance of each sample in U to the current candidate. */
+    /** Each sample's `kk` nearest other samples of D by (distance, id),
+      * row-major: `lists(c * kk + e)` is the `e`-th nearest to `c`.
+      */
+    private val kk = math.max(0, math.min(K, n - 1))
+    private val lists = neighbourLists()
+    /** The entries of the current candidate's list still in U, in order. */
+    private val found = new Array[Int](kk)
+
+    /** Distance of each sample in U to the current candidate (the scan). */
     private val dist = new Array[Double](n)
     private val member = new Array[Int](n)
     private val nearest = new Array[Int](math.min(rho, n))
     private val nearestD = new Array[Double](nearest.length)
-    /** Centers (row-major) and radii of the balls generated so far, for Eq.4. */
-    private val ballX = new Array[Double](n * p)
-    private val ballR = new Array[Double](n)
+    /** Centers (row-major) and radii of the balls generated so far, for
+      * Eq.4; both grow by doubling.
+      */
+    private var ballX = new Array[Double](16 * p)
+    private var ballR = new Array[Double](16)
     private var ballN = 0
 
     private val balls = Vector.newBuilder[GranularBall]
@@ -128,10 +153,116 @@ object RDGBG {
       RDGBGResult(balls.result(), noise.result())
     }
 
-    /** Eq.2-6 for candidate center `c`. */
-    private def attempt(c: Int): Unit = {
-      if (uSize == 1) { markLow(c); return } // no neighbor left: degenerate, becomes an orphan
+    /** The neighbour lists, built concurrently, `Block` samples a task. Each
+      * distance is `math.sqrt` of the scan's left-to-right sum. Four rows
+      * share each pass over the samples, so their four sums add side by
+      * side (one sum at a time waits on each add); past the block's end the
+      * last row repeats. A sum only grows, so a sample is dropped from a
+      * full list once its partial sum passes `sqBound` of the list's last
+      * distance, and the pass over a sample stops once all four are dropped.
+      */
+    private def neighbourLists(): Array[Int] = {
+      val out = new Array[Int](n * kk)
+      Parallel.forEach((n + Block - 1) / Block) { b =>
+        val end = math.min(n, b * Block + Block)
+        val row = new Array[Int](4)
+        val buf = Array.fill(4)(new Array[Int](kk)); val bufD = Array.fill(4)(new Array[Double](kk))
+        val size = new Array[Int](4); val lim = new Array[Double](4)
+        def offer(r: Int, j: Int, s: Double): Unit =
+          if (j != row(r) && s <= lim(r)) {
+            size(r) = Neighbors.offer(buf(r), bufD(r), size(r), kk, j, math.sqrt(s), ids)
+            if (size(r) == kk) lim(r) = sqBound(bufD(r)(kk - 1))
+          }
+        var first = b * Block
+        while (first < end) {
+          var r = 0
+          while (r < 4) { row(r) = math.min(first + r, end - 1); size(r) = 0; lim(r) = Double.PositiveInfinity; r += 1 }
+          val o0 = row(0) * p; val o1 = row(1) * p; val o2 = row(2) * p; val o3 = row(3) * p
+          var j = 0
+          while (j < n) {
+            val off = j * p
+            val l0 = lim(0); val l1 = lim(1); val l2 = lim(2); val l3 = lim(3)
+            var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+            var f = 0
+            while (f < p && (s0 <= l0 || s1 <= l1 || s2 <= l2 || s3 <= l3)) {
+              val xj = x(off + f)
+              val d0 = xj - x(o0 + f); s0 += d0 * d0
+              val d1 = xj - x(o1 + f); s1 += d1 * d1
+              val d2 = xj - x(o2 + f); s2 += d2 * d2
+              val d3 = xj - x(o3 + f); s3 += d3 * d3
+              f += 1
+            }
+            if (f == p) { offer(0, j, s0); offer(1, j, s1); offer(2, j, s2); offer(3, j, s3) }
+            j += 1
+          }
+          r = 0
+          while (r < 4) { System.arraycopy(buf(r), 0, out, row(r) * kk, kk); r += 1 }
+          first += 4
+        }
+      }
+      out
+    }
 
+    /** Eq.2-6 for candidate center `c`: from its list when the list holds
+      * everything the attempt reads, else from a scan over U.
+      */
+    private def attempt(c: Int): Unit =
+      if (uSize == 1) markLow(c) // no neighbor left: degenerate, becomes an orphan
+      else if (!fromList(c)) fromScan(c)
+
+    /** Eq.2-6 from `c`'s list. Its entries still in U are the first samples
+      * of U - {c} in (distance, id) order, so it decides when (1) one is
+      * left; (2) when the nearest is heterogeneous, Eq.2's `avail` nearest
+      * are among them, or `avail` is all of U - {c}; (3) the heterogeneous
+      * sample bounding Eq.3's prefix is among them, if U has one; and (4)
+      * otherwise, the list holds every other sample or ends beyond Eq.4's
+      * conflict radius. All four are checked before any state changes;
+      * returns false, having changed nothing, when one fails.
+      */
+    private def fromList(c: Int): Boolean = {
+      var got = 0; var e = 0
+      while (e < kk) { val j = lists(c * kk + e); if (inU(j)) { found(got) = j; got += 1 }; e += 1 }
+      if (got == 0) return false                                             // (1)
+      val lc = cls(c); val nn = found(0)
+      val hetU = uSize - uCount(lc)
+      var end = 0 // Eq.3's prefix is found(0 until end); found(end) bounds it
+      if (cls(nn) != lc) {
+        // Eq.2: heterogeneous count among the rho nearest neighbors.
+        val avail = math.min(rho, uSize - 1)
+        val h =
+          if (avail == uSize - 1) hetU
+          else if (got < avail) return false                                 // (2)
+          else { var h = 0; var i = 0; while (i < avail) { if (cls(found(i)) != lc) h += 1; i += 1 }; h }
+        if (h == avail) { leaveU(c); noise += pts(c); return true }          // center is class noise
+        if (h != 1) { markLow(c); return true }                              // indistinguishable: low-density
+        end = 1                                                              // nn is noise: skip it
+      }
+      val het = if (end == 1) hetU - 1 else hetU
+      while (end < got && cls(found(end)) == lc) end += 1
+      if (het > 0 && end == got) return false                               // (3)
+      val rConf = conflictRadius(c)
+      if (het == 0 && kk < n - 1 && distTo(c, lists(c * kk + kk - 1)) <= rConf) return false // (4)
+
+      if (het < hetU) { leaveU(nn); noise += pts(nn) } // the nearest neighbor is class noise
+      val hetD = if (het > 0) distTo(c, found(end)) else 0.0
+      var m = 0; var r = 0.0
+      var k = 0
+      while (k < end) {
+        val j = found(k)
+        if (cls(j) == lc) {
+          val d = distTo(c, j)
+          if ((het == 0 || d < hetD) && d <= rConf) { member(m) = j; m += 1; if (d > r) r = d }
+        }
+        k += 1
+      }
+      if (r > 0.0) addBall(c, member.take(m), r) else markLow(c)
+      true
+    }
+
+    /** Eq.2-6 from one O(|U|·p) scan over U, the exact path for attempts
+      * the list cannot decide.
+      */
+    private def fromScan(c: Int): Unit = {
       // One scan over U: distances, the nearest sample by (distance, id),
       // and the two smallest heterogeneous distances. This loop and Eq.4's
       // write out Neighbors.sqDist (the same left-to-right sum, so the same
@@ -173,21 +304,11 @@ object RDGBG {
         }
       }
 
-      // Eq.4: distance to the closest previously generated ball.
-      var rConf = Double.PositiveInfinity
-      var b = 0
-      while (b < ballN) {
-        val off = b * p
-        var s = 0.0; var f = 0
-        while (f < p) { val d = ballX(off + f) - x(cOff + f); s += d * d; f += 1 }
-        val d = math.sqrt(s) - ballR(b)
-        if (d < rConf) rConf = d
-        b += 1
-      }
-
       // Eq.3/5/6: the members are the homogeneous samples strictly closer than
-      // the nearest heterogeneous one and within rConf; r, their largest
-      // distance, is Eq.5's CR when CR <= rConf and Eq.6's radius otherwise.
+      // the nearest heterogeneous one and within Eq.4's conflict radius; r,
+      // their largest distance, is Eq.5's CR when CR <= rConf and Eq.6's
+      // radius otherwise.
+      val rConf = conflictRadius(c)
       var m = 0; var r = 0.0
       k = 0
       while (k < liveN) {
@@ -198,17 +319,7 @@ object RDGBG {
         }
         k += 1
       }
-
-      if (r > 0.0) {
-        val inside = member.take(m).sortWith(Neighbors.before(_, _, dist, ids))
-        val members = (inside.iterator.map(pts(_)) ++ Iterator.single(pts(c))).toVector
-        balls += GranularBall(pts(c).features, r, pts(c).label, members)
-        System.arraycopy(x, cOff, ballX, ballN * p, p)
-        ballR(ballN) = r; ballN += 1
-        inside.foreach(leaveU); leaveU(c)
-      } else {
-        markLow(c)
-      }
+      if (r > 0.0) addBall(c, member.take(m).sortWith(Neighbors.before(_, _, dist, ids)), r) else markLow(c)
     }
 
     /** Eq.2's h: heterogeneous samples among the `avail` nearest to `c` by
@@ -226,8 +337,48 @@ object RDGBG {
       h
     }
 
+    /** Eq.4: distance from `c` to the closest ball generated so far. */
+    private def conflictRadius(c: Int): Double = {
+      val cOff = c * p
+      var rConf = Double.PositiveInfinity
+      var b = 0
+      while (b < ballN) {
+        val off = b * p
+        var s = 0.0; var f = 0
+        while (f < p) { val d = ballX(off + f) - x(cOff + f); s += d * d; f += 1 }
+        val d = math.sqrt(s) - ballR(b)
+        if (d < rConf) rConf = d
+        b += 1
+      }
+      rConf
+    }
+
+    /** A squared sum above this has a `math.sqrt` above `d`: the margin
+      * covers the rounding of `sqrt` and of `d * d`, and the floor keeps
+      * that relative margin out of the subnormal range.
+      */
+    private def sqBound(d: Double): Double = math.max(d * d * (1 + 1e-14), java.lang.Double.MIN_NORMAL)
+
+    /** The scan's distance from `c` to `j`. */
+    private def distTo(c: Int, j: Int): Double = math.sqrt(Neighbors.sqDist(x, j * p, x, c * p, p))
+
+    /** A ball of radius `r` around `c` with members `inside`, in (distance,
+      * id) order.
+      */
+    private def addBall(c: Int, inside: Array[Int], r: Double): Unit = {
+      val members = (inside.iterator.map(pts(_)) ++ Iterator.single(pts(c))).toVector
+      balls += GranularBall(pts(c).features, r, pts(c).label, members)
+      if (ballN == ballR.length) {
+        ballR = java.util.Arrays.copyOf(ballR, 2 * ballN)
+        ballX = java.util.Arrays.copyOf(ballX, 2 * ballN * p)
+      }
+      System.arraycopy(x, c * p, ballX, ballN * p, p)
+      ballR(ballN) = r; ballN += 1
+      inside.foreach(leaveU); leaveU(c)
+    }
+
     private def leaveU(i: Int): Unit = {
-      inU(i) = false; uSize -= 1
+      inU(i) = false; uSize -= 1; uCount(cls(i)) -= 1
       if (inL(i)) inL(i) = false else tCount(cls(i)) -= 1
     }
 

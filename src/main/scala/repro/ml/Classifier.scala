@@ -1,7 +1,6 @@
 package repro.ml
 
-import java.util.stream.IntStream
-import repro.core.Point
+import repro.core.{Parallel, Point}
 
 /** A fitted model: predicts a class label for a feature vector.
   * `predict` must be thread-safe: [[predictAll]] calls it from many threads.
@@ -13,18 +12,9 @@ trait Classifier extends Serializable {
   def predictAll(test: Seq[Point]): Vector[Int] = {
     val pts = test.toIndexedSeq
     val out = new Array[Int](pts.size)
-    Classifier.inParallel(out.length)(i => out(i) = predict(pts(i).features))
+    Parallel.forEach(out.length)(i => out(i) = predict(pts(i).features))
     out.toVector
   }
-}
-
-object Classifier {
-  /** Runs `body(0)` … `body(n - 1)` concurrently on the common fork-join
-    * pool (the caller helps), returning once all are done. The pool's size
-    * is capped by the JDK property `java.util.concurrent.ForkJoinPool.common.parallelism`.
-    */
-  private[ml] def inParallel(n: Int)(body: Int => Unit): Unit =
-    IntStream.range(0, n).parallel().forEach(i => body(i))
 }
 
 /** A trainable classification algorithm (the paper's downstream models). */

@@ -1,6 +1,6 @@
 package repro.ml
 
-import repro.core.Point
+import repro.core.{Parallel, Point}
 import scala.collection.mutable
 
 /** Gradient-boosted decision trees for multi-class classification.
@@ -72,7 +72,7 @@ final case class GBDT(
         c = 0; while (c < k) { probs(o + c) /= s; c += 1 }
         i += 1
       }
-      Classifier.inParallel(k) { cls =>
+      Parallel.forEach(k) { cls =>
         val grower = growers(cls); import grower.{g, h}
         var i = 0
         while (i < n) {

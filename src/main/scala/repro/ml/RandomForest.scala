@@ -1,6 +1,6 @@
 package repro.ml
 
-import repro.core.Point
+import repro.core.{Parallel, Point}
 import scala.util.Random
 
 /** Random forest: bagged depth-15 CART trees with sqrt(p) random features
@@ -27,7 +27,7 @@ final case class RandomForest(nTrees: Int = 25) extends Learner {
       t += 1
     }
     val trees = new Array[TreeModel](nTrees)
-    Classifier.inParallel(nTrees) { i =>
+    Parallel.forEach(nTrees) { i =>
       trees(i) = DecisionTree.build(all, draws(i), maxDepth = 15, mtry, new Random(seeds(i)))
     }
     new ForestModel(trees.toVector)

@@ -50,6 +50,19 @@ class RDGBGDiffSpec extends SparkSpec {
     check("rho > n", Prop.forAllNoShrink(bigRho) { case (data, rho, seed) => sameAndValid(data, math.max(2, rho), seed) }, 100)
   }
 
+  test("property: identical to the reference at n >> K, where the neighbour lists run out") {
+    val big = Gen.choose(150, 400)
+    val tieHeavy = for (n <- big; p <- Gen.choose(1, 3); q <- Gen.choose(1, 4); lv <- Gen.choose(2, 5)) yield Layout(n, p, q, lv)
+    val dups = for (n <- big; p <- Gen.choose(1, 3); q <- Gen.choose(2, 3)) yield Layout(n, p, q, levels = 2)
+    // Separated class clusters: the first ball of a cluster holds more
+    // samples than a list, and one in `flip` labels is flipped inside them.
+    val clean = for (n <- big; p <- Gen.choose(1, 3); q <- Gen.choose(2, 3); flip <- Gen.oneOf(0, 20))
+      yield Layout(n, p, q, levels = 0, sep = 20.0, flip = flip)
+    check("n >> K", Prop.forAllNoShrink(cases(Gen.oneOf(tieHeavy, dups, clean))) { case (data, rho, seed) =>
+      sameAndValid(data, rho, seed)
+    }, 60)
+  }
+
   test("identical to the reference on all 13 datasets at 0 and 20 % noise (maxN = 400)") {
     for (i <- DatasetGen.specs.indices; nz <- Seq(0.0, 0.2)) {
       val clean = DatasetGen.generate(DatasetGen.specs(i), 400, 48, seed = 7)
@@ -63,9 +76,12 @@ object RDGBGDiffSpec {
 
   /** Shape of a generated dataset. `levels > 0` quantizes every feature to
     * that many integer levels (many exact distance ties); `oneEach` gives
-    * every class exactly one sample.
+    * every class exactly one sample. `sep > 0` shifts every feature of a
+    * class-`y` sample by `y * sep`, and then `flip > 0` moves about one in
+    * `flip` samples to the next class without moving it.
     */
-  final case class Layout(n: Int, p: Int, classes: Int, levels: Int, oneEach: Boolean = false)
+  final case class Layout(n: Int, p: Int, classes: Int, levels: Int, oneEach: Boolean = false,
+                          sep: Double = 0.0, flip: Int = 0)
 
   val quantized: Gen[Layout] =
     for (n <- Gen.choose(1, 60); p <- Gen.choose(1, 4); q <- Gen.choose(1, 4); lv <- Gen.choose(2, 5))
@@ -83,21 +99,24 @@ object RDGBGDiffSpec {
       l <- layout
       rows <- Gen.listOfN(l.n, Gen.zip(
         Gen.listOfN(l.p, if (l.levels > 0) Gen.choose(0, l.levels - 1).map(_.toDouble) else Gen.choose(-3.0, 3.0)),
-        Gen.choose(0, l.classes - 1)))
+        Gen.choose(0, l.classes - 1),
+        if (l.flip > 0) Gen.choose(0, l.flip - 1).map(_ == 0) else Gen.const(false)))
       ids <- Gen.pick(l.n, 0L until 10L * l.n)
       shuffle <- Gen.long
       rho <- Gen.choose(2, 9)
       seed <- Gen.choose(0L, 1000L)
     } yield {
       val shuffled = new scala.util.Random(shuffle).shuffle(ids.toVector)
-      val data = rows.zipWithIndex.map { case ((x, y), i) =>
-        Point(x.toArray, if (l.oneEach) i % l.classes else y, shuffled(i))
+      val data = rows.zipWithIndex.map { case ((x, y0, flipped), i) =>
+        val y = if (l.oneEach) i % l.classes else y0
+        val f = if (l.sep == 0) x else x.map(_ + y * l.sep)
+        Point(f.toArray, if (flipped) (y + 1) % l.classes else y, shuffled(i))
       }.toVector
       (data, rho, seed)
     }
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
-  private def ballKey(b: GranularBall) = (b.center.toVector.map(bits), bits(b.radius), b.label, b.points.map(_.id))
+  def ballKey(b: GranularBall) = (b.center.toVector.map(bits), bits(b.radius), b.label, b.points.map(_.id))
 
   /** Exact equality of the ordered balls and noise against the reference,
     * and the ball invariants of the result.

@@ -130,6 +130,17 @@ class RDGBGSpec extends SparkSpec {
     assert(a.noise.map(_.id) == b.noise.map(_.id))
   }
 
+  test("generate from 4 threads at once, as concurrent Spark tasks call it, equals a lone call") {
+    val data = repro.data.DatasetGen.withNoise(TestData.blobs(3, 200, dim = 4, seed = 23), 0.2, seed = 24)
+    val key = (res: RDGBGResult) => (res.balls.map(RDGBGDiffSpec.ballKey), res.noise.map(_.id))
+    val lone = key(RDGBG.generate(data, seed = 25))
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val runs = Vector.fill(4)(pool.submit(() => RDGBG.generate(data, seed = 25)))
+      runs.foreach(run => assert(key(run.get) == lone))
+    } finally pool.shutdown()
+  }
+
   test("different seeds still satisfy all invariants") {
     val data = TestData.blobs(3, 25, seed = 10)
     for (seed <- 0 until 5)
