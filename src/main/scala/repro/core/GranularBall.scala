@@ -35,22 +35,6 @@ final case class GranularBall(
   /** True iff this ball's interior overlaps another ball's interior. */
   def overlaps(other: GranularBall, eps: Double = 1e-9): Boolean =
     Point.dist(center, other.center) < radius + other.radius - eps
-
-  /** The sample with the extreme value along dimension `d`:
-    * largest if `largest`, else smallest; the first such sample on a tie,
-    * in `java.lang.Double.compare` order (-0.0 below 0.0), as `maxBy` and
-    * `minBy` pick it. Used by GBABS boundary picking.
-    */
-  def extremeAlong(d: Int, largest: Boolean): Point = {
-    var best = points(0)
-    var i = 1
-    while (i < points.length) {
-      val c = java.lang.Double.compare(points(i).features(d), best.features(d))
-      if (if (largest) c > 0 else c < 0) best = points(i)
-      i += 1
-    }
-    best
-  }
 }
 
 object GranularBall {

@@ -65,9 +65,26 @@ object RDGBG {
     require(rho >= 2, s"density tolerance must be >= 2, got $rho")
     val pts = data.toArray
     Point.checkFeatures(pts)
-    val seen = mutable.HashSet.empty[Long] // U is a set of samples keyed by id
-    pts.foreach(pt => require(seen.add(pt.id), s"duplicate sample id ${pt.id}"))
+    checkIds(pts)
     new Granulation(pts, rho, new Random(seed)).run()
+  }
+
+  /** Rejects a repeated id (U is a set of samples keyed by id), naming the
+    * first sample in data order whose id an earlier one holds. A sorted
+    * copy of the ids finds whether one repeats; only then are they walked
+    * in data order.
+    */
+  private def checkIds(pts: Array[Point]): Unit = {
+    val ids = new Array[Long](pts.length)
+    var i = 0
+    while (i < ids.length) { ids(i) = pts(i).id; i += 1 }
+    java.util.Arrays.sort(ids)
+    i = 1
+    while (i < ids.length && ids(i) != ids(i - 1)) i += 1
+    if (i < ids.length) {
+      val seen = mutable.HashSet.empty[Long]
+      pts.foreach(pt => require(seen.add(pt.id), s"duplicate sample id ${pt.id}"))
+    }
   }
 
   /** Length of each sample's nearest-neighbour list. */

@@ -75,10 +75,11 @@ private[ml] object TrainSet {
     check(train, learner)
     val pts = train.toArray
     val col = new Array[Double](pts.length)
+    val scratch = new GBABS.RadixScratch(pts.length)
     def encoded(at: Int => Double) = {
       var i = 0
       while (i < col.length) { col(i) = at(i); i += 1 }
-      GBABS.encode(col)
+      GBABS.encode(col, scratch)
     }
     val (labels, ys) = encoded(pts(_).label)
     val cols = Array.tabulate(pts(0).dim)(f => encoded(pts(_).features(f)))

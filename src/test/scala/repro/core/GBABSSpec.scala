@@ -76,15 +76,45 @@ class GBABSSpec extends SparkSpec {
     }
   }
 
+  /** 120 columns of up to 2000 values, of four kinds in turn: heavy ties of
+    * ±0.0, ±∞, subnormals and negatives; signed values over seven decades;
+    * ties of ±(1 + k ulp), whose keys share all but their low bytes; and
+    * values whose keys differ in one byte only, so that both the low and
+    * the high passes are skipped.
+    */
+  private def radixColumns(seed: Int): Iterator[Array[Double]] = {
+    val rng = new scala.util.Random(seed)
+    val specials = Array(0.0, -0.0, 1.0, -1.0, -2.5, Double.PositiveInfinity, Double.NegativeInfinity,
+      Double.MinPositiveValue, -Double.MinPositiveValue, 3 * Double.MinPositiveValue, -java.lang.Double.MIN_NORMAL / 3,
+      java.lang.Double.MIN_NORMAL, Double.MaxValue, -Double.MaxValue)
+    Iterator.tabulate(120) { trial =>
+      val n = rng.nextInt(2001)
+      val sign = if (rng.nextBoolean()) 1.0 else -1.0
+      trial % 4 match {
+        case 0 => Array.fill(n)(specials(rng.nextInt(specials.length)))
+        case 1 => Array.fill(n)(rng.nextGaussian() * math.pow(10, rng.nextInt(7) - 3))
+        case 2 => Array.fill(n)(sign * (1.0 + rng.nextInt(300) * math.ulp(1.0)))
+        case _ =>
+          val base = java.lang.Double.doubleToLongBits(sign * (1.0 + rng.nextDouble()))
+          val shift = 8 * (1 + rng.nextInt(6))
+          Array.fill(n)(java.lang.Double.longBitsToDouble(base ^ (rng.nextInt(256).toLong << shift)))
+      }
+    }
+  }
+
   test("orderAlong equals the (center, index) tuple sort, including ties, -0.0 and infinities") {
-    for (values <- columns(47)) {
-      assert(GBABS.orderAlong(values).toVector == values.indices.sortBy(i => (values(i), i.toLong)).toVector)
+    val scratch = new GBABS.RadixScratch(2000) // one for every column, as sampleBalls and TrainSet reuse theirs
+    for (values <- columns(47) ++ radixColumns(61)) {
+      val from = values.length % 7 // a column may start inside a larger array
+      val order = GBABS.orderAlong(Array.fill(from)(Double.NaN) ++ values, from, values.length, scratch)
+      assert(values.indices.map(order) == values.indices.sortBy(i => (values(i), i.toLong)))
     }
   }
 
   test("encode gives strictly increasing distinct values and dense order-keeping codes that restore every bit") {
+    val scratch = new GBABS.RadixScratch(40)
     for (values <- columns(53)) {
-      val (distinct, code) = GBABS.encode(values)
+      val (distinct, code) = GBABS.encode(values, scratch)
       assert(distinct.indices.drop(1).forall(d => java.lang.Double.compare(distinct(d - 1), distinct(d)) < 0))
       assert(values.indices.forall(i =>
         java.lang.Double.doubleToRawLongBits(distinct(code(i))) == java.lang.Double.doubleToRawLongBits(values(i))))
@@ -94,33 +124,90 @@ class GBABSSpec extends SparkSpec {
     }
   }
 
-  test("extremeAlong picks the sample maxBy and minBy pick, including ties, -0.0 and infinities") {
+  test("encode equals the sort-and-binarySearch encode on columns of up to 2000 values") {
+    val scratch = new GBABS.RadixScratch(2000)
+    for (values <- radixColumns(67)) {
+      val (distinct, code) = GBABS.encode(values, scratch)
+      val (wantDistinct, wantCode) = sortSearchEncode(values)
+      assert(distinct.map(java.lang.Double.doubleToRawLongBits).toSeq == wantDistinct.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      assert(code.toSeq == wantCode.toSeq)
+    }
+  }
+
+  /** `encode` as it was before the radix order: sort a copy, drop repeats,
+    * and binary-search each value among what is left.
+    */
+  private def sortSearchEncode(values: Array[Double]): (Array[Double], Array[Int]) = {
+    val distinct = values.clone()
+    java.util.Arrays.sort(distinct)
+    var m = 0; var i = 0
+    while (i < distinct.length) {
+      if (m == 0 || java.lang.Double.compare(distinct(m - 1), distinct(i)) != 0) { distinct(m) = distinct(i); m += 1 }
+      i += 1
+    }
+    val code = new Array[Int](values.length)
+    i = 0
+    while (i < code.length) { code(i) = java.util.Arrays.binarySearch(distinct, 0, m, values(i)); i += 1 }
+    (if (m == distinct.length) distinct else java.util.Arrays.copyOf(distinct, m), code)
+  }
+
+  test("sampleBalls takes what maxBy and minBy pick, with ties, -0.0 and infinities") {
     for (values <- columns(59) if values.nonEmpty) {
       val pts = values.indices.map(i => Point(Array(values(i), -values(i)), 0, i.toLong)).toVector
       val ball = GranularBall(Array(0.0, 0.0), 0.0, 0, pts)
-      for (d <- 0 until 2) {
-        assert(ball.extremeAlong(d, largest = true).id == pts.maxBy(_.features(d)).id)
-        assert(ball.extremeAlong(d, largest = false).id == pts.minBy(_.features(d)).id)
-      }
+      for (d <- 0 until 2)
+        assert(GBABSSpec.extremeIds(ball, d) == ((pts.maxBy(_.features(d)).id, pts.minBy(_.features(d)).id)))
     }
+  }
+
+  /** Asserts that `sampleBalls` returns the very points and the borderline set of [[tupleSortSampleBalls]]. */
+  private def assertSameSelection(balls: Vector[GranularBall], p: Int): Unit = {
+    val (sampled, borderline) = GBABS.sampleBalls(balls, p)
+    val (wantSampled, wantBorderline) = tupleSortSampleBalls(balls, p)
+    assert(sampled.map(_.id) == wantSampled.map(_.id))
+    assert(sampled.corresponds(wantSampled)(_ eq _), "the same member of a repeated id")
+    assert(borderline == wantBorderline)
   }
 
   test("sampleBalls keeps the borderline set and sampled order of the tuple-sort version") {
     for (seed <- 0 until 6; nz <- Seq(0.0, 0.3)) {
       val clean = TestData.blobs(3, 40, dim = 3, sep = 3.0, seed = 50 + seed)
       val quantized = clean.map(pt => pt.copy(features = pt.features.map(v => math.round(v).toDouble)))
-      for (data <- Seq(clean, quantized)) {
-        val balls = RDGBG.generate(repro.data.DatasetGen.withNoise(data, nz, seed), seed = seed).balls
-        val (sampled, borderline) = GBABS.sampleBalls(balls, p = 3)
-        val (wantSampled, wantBorderline) = tupleSortSampleBalls(balls, p = 3)
-        assert(sampled.map(_.id) == wantSampled.map(_.id))
-        assert(borderline == wantBorderline)
-      }
+      for (data <- Seq(clean, quantized))
+        assertSameSelection(RDGBG.generate(repro.data.DatasetGen.withNoise(data, nz, seed), seed = seed).balls, p = 3)
+    }
+  }
+
+  test("sampleBalls takes a repeated id once, from the member taken first") {
+    val twin = Point(Array(4.0), 1, 2) // holds the id of ball 0's largest member
+    val balls = Vector(
+      threeBalls(0),
+      GranularBall(Array(5.0), 1.0, 1, Vector(twin, Point(Array(6.0), 1, 5))),
+      threeBalls(2),
+    )
+    val (sampled, borderline) = GBABS.sampleBalls(balls, p = 1)
+    assert(sampled.map(_.id) == Vector(2L, 5L, 6L))
+    assert(sampled(0) eq threeBalls(0).points(2))
+    assert(borderline == Set(0, 1, 2))
+    assertSameSelection(balls, p = 1)
+    for (seed <- 0 until 4) { // RD-GBG balls with every id shared by three samples
+      val data = TestData.blobs(3, 40, dim = 3, sep = 3.0, seed = 70 + seed)
+      val balls = RDGBG.generate(repro.data.DatasetGen.withNoise(data, 0.2, seed), seed = seed).balls
+      assertSameSelection(balls.map(b => b.copy(points = b.points.map(pt => pt.copy(id = pt.id / 3)))), p = 3)
+    }
+  }
+
+  test("sampleBalls keeps the tuple-sort selection on RD-GBG balls of S8 and S13 at 20 % noise") {
+    for ((spec, p) <- Seq(7 -> 16, 12 -> 48)) {
+      val data = repro.data.DatasetGen.generate(repro.data.DatasetGen.specs(spec), maxN = 1500, maxP = 48, seed = 1)
+      assert(data.head.dim == p)
+      assertSameSelection(RDGBG.generate(repro.data.DatasetGen.withNoise(data, 0.2, seed = 1), seed = 1).balls, p)
     }
   }
 
   /** `GBABS.sampleBalls` as first written, ordering each dimension with a
-    * boxed (center, index) tuple sort.
+    * boxed (center, index) tuple sort and taking each ball's extreme
+    * members with `maxBy` and `minBy`.
     */
   private def tupleSortSampleBalls(balls: Vector[GranularBall], p: Int): (Vector[Point], Set[Int]) = {
     val chosen = scala.collection.mutable.LinkedHashMap.empty[Long, Point]
@@ -132,8 +219,8 @@ class GBABSSpec extends SparkSpec {
           val j = order(k); val j2 = order(k + 1)
           if (balls(j).label != balls(j2).label) {
             borderline += j; borderline += j2
-            val left  = balls(j).extremeAlong(d, largest = true)
-            val right = balls(j2).extremeAlong(d, largest = false)
+            val left  = balls(j).points.maxBy(_.features(d))
+            val right = balls(j2).points.minBy(_.features(d))
             chosen.getOrElseUpdate(left.id, left)
             chosen.getOrElseUpdate(right.id, right)
           }
@@ -215,5 +302,21 @@ class GBABSSpec extends SparkSpec {
     val res = GBABS.run(data, seed = 46)
     // every class should contribute at least one borderline sample
     assert(res.sampled.map(_.label).distinct.sorted == Vector(0, 1, 2))
+  }
+}
+
+object GBABSSpec {
+
+  /** The ids of `ball`'s largest and smallest member along `d`, as
+    * `GBABS.sampleBalls` takes them. The members, projected on `d`, form a
+    * ball between two one-member balls of another label: the left pair
+    * takes its smallest member and the right pair its largest.
+    */
+  def extremeIds(ball: GranularBall, d: Int): (Long, Long) = {
+    def flank(center: Double, id: Long) = GranularBall(Array(center), 0.0, 1, Vector(Point(Array(0.0), 1, id)))
+    val projected = GranularBall(Array(0.0), 0.0, 0, ball.points.map(pt => Point(Array(pt.features(d)), 0, pt.id)))
+    val balls = Vector(flank(Double.NegativeInfinity, Long.MinValue), projected, flank(Double.PositiveInfinity, Long.MaxValue))
+    val taken = GBABS.sampleBalls(balls, p = 1)._1.map(_.id).filter(id => id != Long.MinValue && id != Long.MaxValue)
+    (taken.last, taken.head) // one id when the same member is both
   }
 }

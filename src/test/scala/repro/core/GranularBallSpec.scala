@@ -47,13 +47,11 @@ class GranularBallSpec extends SparkSpec {
     assert(!a.overlaps(b))
   }
 
-  test("extremeAlong picks min and max per dimension") {
+  test("sampleBalls takes a ball's min and max member per dimension") {
     val b = GranularBall(Array(0.0, 0.0), 2.0, 0,
       TestData.pts((Seq(-1.0, 0.5), 0), (Seq(1.0, -0.5), 0), (Seq(0.0, 1.5), 0)))
-    assert(b.extremeAlong(0, largest = true).features(0) === 1.0)
-    assert(b.extremeAlong(0, largest = false).features(0) === -1.0)
-    assert(b.extremeAlong(1, largest = true).features(1) === 1.5)
-    assert(b.extremeAlong(1, largest = false).features(1) === -0.5)
+    assert(GBABSSpec.extremeIds(b, 0) == ((1L, 0L))) // x: max 1.0, min -1.0
+    assert(GBABSSpec.extremeIds(b, 1) == ((2L, 1L))) // y: max 1.5, min -0.5
   }
 
   test("meanBall center is the sample mean") {
