@@ -29,22 +29,19 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   * or join L, so an iteration draws its candidates in one pass over U,
   * which also compacts it. At the start each sample's K = 16 nearest other
   * samples by (distance, id) are listed once, an O(n²·p) build run on every
-  * core through [[Parallel.forEach]]. An attempt walks its candidate's
-  * list, skipping samples no longer in U: what is left is the nearest part
-  * of U in (distance, id) order, and it decides Eq.2–6 when it holds all
-  * the attempt reads (the four conditions of `fromList`). Otherwise, with
-  * nothing changed, the attempt falls back to one O(|U|·p) scan of
-  * primitive distances over U, with no sort: the nearest sample by
-  * (distance, id) and the nearest heterogeneous distances, Eq.2's ρ
-  * nearest from a bounded insertion buffer, and one more pass for the
-  * ball's members (Eq.3–6), which alone are sorted. On the 20 %-noise
-  * benchmark datasets (S5, S8, S10, S13) the scan answered 0.2–9 % of the
-  * attempts at n = 1500 and 1–13 % at n = 6000; K = 32 cut that to 0–2 %
-  * and 0–4.4 %, but its longer build made the n = 1500 calls slower.
+  * core through [[Parallel.forEach]]. One rule set, `decide`, reads Eq.2–6
+  * from a prefix of U - {c} in (distance, id) order, and says when the
+  * prefix holds all it reads (its three conditions). An attempt fills the
+  * prefix from its candidate's list, skipping samples no longer in U; when
+  * that cannot decide, with nothing changed, one O(|U|·p) scan of
+  * primitive distances over U fills it with every sample up to the
+  * distance the decision reads, which alone are sorted. On the 20 %-noise
+  * datasets at their full fold's size the scan answers 5.2 % of the
+  * attempts on S5, none on S8, S10 and S13, and 3 of 44 002 on S11.
   * Every distance is `math.sqrt` of the left-to-right sum of
-  * [[Neighbors.sqDist]], and the lists, the nearest sample, Eq.2's buffer
-  * and the member sort all use the [[Neighbors]] order by (distance, id),
-  * so the balls equal those of a full (distance, id) sort of U. In that
+  * [[Neighbors.sqDist]], and the lists, Eq.2's buffer and the scan's sort
+  * all use the [[Neighbors]] order by (distance, id), so the balls equal
+  * those of a full (distance, id) sort of U. In that
   * sort the homogeneous prefix of Eq.3 ends at the first heterogeneous
   * sample, and homogeneous samples tied with it at the same distance are
   * cut so no heterogeneous sample lies on the ball (purity 1.0); the
@@ -124,12 +121,16 @@ object RDGBG {
       */
     private val kk = math.max(0, math.min(K, n - 1))
     private val lists = neighbourLists()
-    /** The entries of the current candidate's list still in U, in order. */
-    private val found = new Array[Int](kk)
+    /** The first samples of U - {c} in (distance, id) order for the current
+      * candidate `c`, as `fromList` or `fromScan` fill it: every one closer
+      * than sample `bound`, or all of U - {c} when `bound` is -1. `decide`
+      * compacts a new ball's members into it in place.
+      */
+    private val found = new Array[Int](n)
+    private var bound = -1
 
     /** Distance of each sample in U to the current candidate (the scan). */
     private val dist = new Array[Double](n)
-    private val member = new Array[Int](n)
     private val nearest = new Array[Int](math.min(rho, n))
     private val nearestD = new Array[Double](nearest.length)
     /** Centers (row-major) and radii of the balls generated so far, for
@@ -220,73 +221,41 @@ object RDGBG {
       out
     }
 
-    /** Eq.2-6 for candidate center `c`: from its list when the list holds
-      * everything the attempt reads, else from a scan over U.
+    /** Eq.2-6 for candidate center `c`, from its list or, when the list
+      * cannot decide, from a scan over U.
       */
     private def attempt(c: Int): Unit =
       if (uSize == 1) markLow(c) // no neighbor left: degenerate, becomes an orphan
-      else if (!fromList(c)) fromScan(c)
+      else if (!decide(c, fromList(c)) && !decide(c, fromScan(c)))
+        throw new IllegalStateException(s"the scan over U did not decide sample ${pts(c).id}")
 
-    /** Eq.2-6 from `c`'s list. Its entries still in U are the first samples
-      * of U - {c} in (distance, id) order, so it decides when (1) one is
-      * left; (2) when the nearest is heterogeneous, Eq.2's `avail` nearest
-      * are among them, or `avail` is all of U - {c}; (3) the heterogeneous
-      * sample bounding Eq.3's prefix is among them, if U has one; and (4)
-      * otherwise, the list holds every other sample or ends beyond Eq.4's
-      * conflict radius. All four are checked before any state changes;
-      * returns false, having changed nothing, when one fails.
+    /** Fills `found` from `c`'s list. Its entries still in U are the first
+      * samples of U - {c} in (distance, id) order, and every sample closer
+      * than its last entry is listed.
       */
-    private def fromList(c: Int): Boolean = {
+    private def fromList(c: Int): Int = {
       var got = 0; var e = 0
       while (e < kk) { val j = lists(c * kk + e); if (inU(j)) { found(got) = j; got += 1 }; e += 1 }
-      if (got == 0) return false                                             // (1)
-      val lc = cls(c); val nn = found(0)
-      val hetU = uSize - uCount(lc)
-      var end = 0 // Eq.3's prefix is found(0 until end); found(end) bounds it
-      if (cls(nn) != lc) {
-        // Eq.2: heterogeneous count among the rho nearest neighbors.
-        val avail = math.min(rho, uSize - 1)
-        val h =
-          if (avail == uSize - 1) hetU
-          else if (got < avail) return false                                 // (2)
-          else { var h = 0; var i = 0; while (i < avail) { if (cls(found(i)) != lc) h += 1; i += 1 }; h }
-        if (h == avail) { leaveU(c); noise += pts(c); return true }          // center is class noise
-        if (h != 1) { markLow(c); return true }                              // indistinguishable: low-density
-        end = 1                                                              // nn is noise: skip it
-      }
-      val het = if (end == 1) hetU - 1 else hetU
-      while (end < got && cls(found(end)) == lc) end += 1
-      if (het > 0 && end == got) return false                               // (3)
-      val rConf = conflictRadius(c)
-      if (het == 0 && kk < n - 1 && distTo(c, lists(c * kk + kk - 1)) <= rConf) return false // (4)
-
-      if (het < hetU) { leaveU(nn); noise += pts(nn) } // the nearest neighbor is class noise
-      val hetD = if (het > 0) distTo(c, found(end)) else 0.0
-      var m = 0; var r = 0.0
-      var k = 0
-      while (k < end) {
-        val j = found(k)
-        if (cls(j) == lc) {
-          val d = distTo(c, j)
-          if ((het == 0 || d < hetD) && d <= rConf) { member(m) = j; m += 1; if (d > r) r = d }
-        }
-        k += 1
-      }
-      if (r > 0.0) addBall(c, member.take(m), r) else markLow(c)
-      true
+      bound = if (kk < n - 1) lists(c * kk + kk - 1) else -1
+      got
     }
 
-    /** Eq.2-6 from one O(|U|·p) scan over U, the exact path for attempts
-      * the list cannot decide.
+    /** Fills `found` from one O(|U|·p) scan over U with every sample of
+      * U - {c} up to the largest distance `decide` reads: the nearest
+      * sample's; Eq.2's `avail`-th nearest's, when the nearest is
+      * heterogeneous; and the smaller of Eq.4's conflict radius and the
+      * distance to the heterogeneous sample bounding Eq.3's prefix (the
+      * second one when the nearest is heterogeneous). Then sorts them by
+      * (distance, id).
       */
-    private def fromScan(c: Int): Unit = {
-      // One scan over U: distances, the nearest sample by (distance, id),
-      // and the two smallest heterogeneous distances. This loop and Eq.4's
-      // write out Neighbors.sqDist (the same left-to-right sum, so the same
-      // bits): calling it made RD-GBG 17-28 % slower on 4-core x86 under
-      // JDK 17, as the JIT optimises the inlined loop less well.
+    private def fromScan(c: Int): Int = {
+      // The scan's sum writes out Neighbors.sqDist (the same left-to-right
+      // sum, so the same bits), as does Eq.4's: calling it made RD-GBG
+      // 17-28 % slower on 4-core x86 under JDK 17, as the JIT optimises the
+      // inlined loop less well.
       val lc = cls(c); val cOff = c * p
-      var nn = -1; var het = 0
+      val avail = math.min(rho, uSize - 1)
+      var size = 0
       var het1 = Double.PositiveInfinity; var het2 = Double.PositiveInfinity
       var k = 0
       while (k < liveN) {
@@ -297,61 +266,72 @@ object RDGBG {
           while (f < p) { val d = x(off + f) - x(cOff + f); s += d * d; f += 1 }
           val d = math.sqrt(s)
           dist(j) = d
-          if (nn < 0 || Neighbors.before(j, nn, dist, ids)) nn = j
-          if (cls(j) != lc) {
-            het += 1
-            if (d < het1) { het2 = het1; het1 = d } else if (d < het2) het2 = d
-          }
+          size = Neighbors.offer(nearest, nearestD, size, avail, j, d, ids)
+          if (cls(j) != lc) { if (d < het1) { het2 = het1; het1 = d } else if (d < het2) het2 = d }
         }
         k += 1
       }
-
-      var hetD = het1
-      if (cls(nn) != lc) {
-        // Eq.2: heterogeneous count among the rho nearest neighbors.
-        val avail = math.min(rho, uSize - 1)
-        val h = if (avail == uSize - 1) het else heteroAmongNearest(c, avail)
-        if (h == avail) {            // center is class noise
-          leaveU(c); noise += pts(c); return
-        } else if (h == 1) {         // the nearest neighbor is class noise
-          leaveU(nn); noise += pts(nn)
-          het -= 1; hetD = het2
-        } else {                     // indistinguishable: low-density
-          markLow(c); return
-        }
-      }
-
-      // Eq.3/5/6: the members are the homogeneous samples strictly closer than
-      // the nearest heterogeneous one and within Eq.4's conflict radius; r,
-      // their largest distance, is Eq.5's CR when CR <= rConf and Eq.6's
-      // radius otherwise.
-      val rConf = conflictRadius(c)
-      var m = 0; var r = 0.0
+      val hetNN = cls(nearest(0)) != lc
+      val hetD = if (hetNN) het2 else het1 // of the heterogeneous sample bounding Eq.3's prefix
+      val upTo = math.max(nearestD(if (hetNN) avail - 1 else 0), math.min(hetD, conflictRadius(c)))
+      var got = 0; bound = -1
       k = 0
       while (k < liveN) {
         val j = live(k)
-        if (inU(j) && j != c && cls(j) == lc && (het == 0 || dist(j) < hetD) && dist(j) <= rConf) {
-          member(m) = j; m += 1
-          if (dist(j) > r) r = dist(j)
+        if (inU(j) && j != c) {
+          if (dist(j) <= upTo) { found(got) = j; got += 1 }
+          else if (bound < 0 || dist(j) < dist(bound)) bound = j
         }
         k += 1
       }
-      if (r > 0.0) addBall(c, member.take(m).sortWith(Neighbors.before(_, _, dist, ids)), r) else markLow(c)
+      System.arraycopy(found.take(got).sortWith(Neighbors.before(_, _, dist, ids)), 0, found, 0, got)
+      got
     }
 
-    /** Eq.2's h: heterogeneous samples among the `avail` nearest to `c` by
-      * (distance, id).
+    /** Eq.2-6 for `c` from `found(0 until got)`, the only code of those
+      * rules. It decides when (1) one sample is there; (2) when the nearest
+      * is heterogeneous, Eq.2's `avail` nearest are there, or `avail` is all
+      * of U - {c}; and (3) the heterogeneous sample bounding Eq.3's prefix
+      * is there, or every sample of U within Eq.4's conflict radius is (it
+      * lies before `bound`). All three are checked before any state
+      * changes; returns false, having changed nothing, when one fails.
       */
-    private def heteroAmongNearest(c: Int, avail: Int): Int = {
-      var size = 0; var k = 0
-      while (k < liveN) {
-        val j = live(k)
-        if (inU(j) && j != c) size = Neighbors.offer(nearest, nearestD, size, avail, j, dist(j), ids)
+    private def decide(c: Int, got: Int): Boolean = {
+      if (got == 0) return false                                             // (1)
+      val lc = cls(c); val nn = found(0)
+      val nnNoise = cls(nn) != lc
+      if (nnNoise) {
+        // Eq.2: heterogeneous count among the rho nearest neighbors.
+        val avail = math.min(rho, uSize - 1)
+        val h =
+          if (avail == uSize - 1) uSize - uCount(lc)
+          else if (got < avail) return false                                 // (2)
+          else { var h = 0; var i = 0; while (i < avail) { if (cls(found(i)) != lc) h += 1; i += 1 }; h }
+        if (h == avail) { leaveU(c); noise += pts(c); return true }          // center is class noise
+        if (h != 1) { markLow(c); return true }                              // indistinguishable: low-density
+      }
+      var end = if (nnNoise) 1 else 0 // Eq.3's prefix is found(0 until end); found(end) bounds it
+      while (end < got && cls(found(end)) == lc) end += 1
+      val rConf = conflictRadius(c)
+      if (end == got && bound >= 0 && distTo(c, bound) <= rConf) return false // (3)
+
+      if (nnNoise) { leaveU(nn); noise += pts(nn) } // the nearest neighbor is class noise
+      // Eq.3/5/6: the members are the homogeneous samples strictly closer than
+      // the bounding one and within Eq.4's conflict radius; r, their largest
+      // distance, is Eq.5's CR when CR <= rConf and Eq.6's radius otherwise.
+      val hetD = if (end < got) distTo(c, found(end)) else Double.PositiveInfinity
+      var m = 0; var r = 0.0
+      var k = 0
+      while (k < end) {
+        val j = found(k)
+        if (cls(j) == lc) {
+          val d = distTo(c, j)
+          if (d < hetD && d <= rConf) { found(m) = j; m += 1; if (d > r) r = d }
+        }
         k += 1
       }
-      var h = 0; var i = 0
-      while (i < avail) { if (cls(nearest(i)) != cls(c)) h += 1; i += 1 }
-      h
+      if (r > 0.0) addBall(c, found.take(m), r) else markLow(c)
+      true
     }
 
     /** Eq.4: distance from `c` to the closest ball generated so far. */
