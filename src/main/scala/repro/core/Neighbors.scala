@@ -29,17 +29,20 @@ object Neighbors {
   def before(a: Int, b: Int, d: Array[Double], key: Array[Long]): Boolean =
     d(a) < d(b) || (d(a) == d(b) && key(a) < key(b))
 
-  /** Bounded insertion top-k. `buf(0 until size)` holds the at most `k`
-    * best candidates so far, in (distance, `key`) order, and `bufD` their
-    * distances; offers candidate `j` at distance `dj` and returns the new size.
+  /** Bounded insertion top-k. `buf(from until from + size)` holds the at
+    * most `k` best candidates so far, in (distance, `key`) order, and `bufD`
+    * at the same indices their distances; offers candidate `j` at distance
+    * `dj` and returns the new size. `from` lets one pair of arrays hold many
+    * lists side by side, `k` entries apart.
     */
-  def offer(buf: Array[Int], bufD: Array[Double], size: Int, k: Int, j: Int, dj: Double, key: Array[Long]): Int = {
-    def before(at: Int) = dj < bufD(at) || (dj == bufD(at) && key(j) < key(buf(at)))
+  def offer(buf: Array[Int], bufD: Array[Double], size: Int, k: Int, j: Int, dj: Double, key: Array[Long],
+            from: Int = 0): Int = {
+    def before(at: Int) = dj < bufD(from + at) || (dj == bufD(from + at) && key(j) < key(buf(from + at)))
     val full = size >= k
     if (full && (k <= 0 || !before(k - 1))) return size
     var at = if (full) k - 1 else size
-    while (at > 0 && before(at - 1)) { buf(at) = buf(at - 1); bufD(at) = bufD(at - 1); at -= 1 }
-    buf(at) = j; bufD(at) = dj
+    while (at > 0 && before(at - 1)) { buf(from + at) = buf(from + at - 1); bufD(from + at) = bufD(from + at - 1); at -= 1 }
+    buf(from + at) = j; bufD(from + at) = dj
     if (full) size else size + 1
   }
 

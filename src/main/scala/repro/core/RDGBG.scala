@@ -28,8 +28,10 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
   * Cost: the per-class sizes of T = U - L are kept where samples leave U
   * or join L, so an iteration draws its candidates in one pass over U,
   * which also compacts it. At the start each sample's K = 16 nearest other
-  * samples by (distance, id) are listed once, an O(n²·p) build run on every
-  * core through [[Parallel.forEach]]. One rule set, `decide`, reads Eq.2–6
+  * samples by (distance, id) are listed once, an O(n²·p) build that sums
+  * each pair's distance once for both lists, run on every core through
+  * [[Parallel.forEach]] as a round-robin tournament of block tiles
+  * (`neighbourLists`). One rule set, `decide`, reads Eq.2–6
   * from a prefix of U - {c} in (distance, id) order, and says when the
   * prefix holds all it reads (its three conditions). An attempt fills the
   * prefix from its candidate's list, skipping samples no longer in U; when
@@ -86,8 +88,103 @@ object RDGBG {
 
   /** Length of each sample's nearest-neighbour list. */
   private val K = 16
-  /** Samples whose lists one parallel task builds, sharing its buffers. */
+  /** Samples a block of the list build holds. */
   private val Block = 64
+
+  /** Each of the n = `ids.length` samples' kk = min(`k`, n - 1) nearest
+    * other samples by (distance, id), row-major: entry `i * kk + e` is the
+    * `e`-th nearest to row `i` of `x` (`p` values a row). A distance is
+    * `math.sqrt` of the left-to-right sum of [[Neighbors.sqDist]], and
+    * (a - b)² equals (b - a)², so each pair's sum is made once and offered
+    * to both lists; a list is the top kk by (distance, id) whatever order
+    * its offers come in.
+    *
+    * The samples are cut into blocks of `Block`. First each block's own
+    * pairs run, a task a block. Then the pairs of distinct blocks run as a
+    * round-robin tournament (the circle method): m, the block count
+    * rounded up to even (an odd count gives one block a bye each round),
+    * makes m - 1 rounds of m / 2 tiles, each tile two distinct blocks.
+    * Tiles of one round therefore write disjoint lists, and run
+    * concurrently through [[Parallel.forEach]] with no lock. A tile passes
+    * over its second block with four rows of its first side by side, so
+    * their four sums add side by side (one sum at a time waits on each
+    * add); past the block's end the last row repeats, and its sums are not
+    * offered. A full list rejects a sum above `sqBound` of its last
+    * distance before any `sqrt`.
+    */
+  private[core] def neighbourLists(x: Array[Double], p: Int, ids: Array[Long], k: Int): Array[Int] = {
+    val n = ids.length
+    val kk = math.max(0, math.min(k, n - 1))
+    val out = new Array[Int](n * kk)
+    val outD = new Array[Double](n * kk)
+    val size = new Array[Int](n)
+    val lim = Array.fill(n)(Double.PositiveInfinity)
+    def offer(i: Int, j: Int, s: Double): Unit =
+      if (s <= lim(i)) {
+        size(i) = Neighbors.offer(out, outD, size(i), kk, j, math.sqrt(s), ids, i * kk)
+        if (size(i) == kk) lim(i) = sqBound(outD(i * kk + kk - 1))
+      }
+    def tile(a: Int, b: Int): Unit = {
+      val aEnd = math.min(n, a * Block + Block); val bEnd = math.min(n, b * Block + Block)
+      var first = a * Block
+      while (first < aEnd) {
+        val rows = aEnd - first
+        val i0 = first; val i1 = math.min(first + 1, aEnd - 1)
+        val i2 = math.min(first + 2, aEnd - 1); val i3 = math.min(first + 3, aEnd - 1)
+        val o0 = i0 * p; val o1 = i1 * p; val o2 = i2 * p; val o3 = i3 * p
+        var j = b * Block
+        while (j < bEnd) {
+          val off = j * p
+          var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+          var f = 0
+          while (f < p) {
+            val xj = x(off + f)
+            val d0 = xj - x(o0 + f); s0 += d0 * d0
+            val d1 = xj - x(o1 + f); s1 += d1 * d1
+            val d2 = xj - x(o2 + f); s2 += d2 * d2
+            val d3 = xj - x(o3 + f); s3 += d3 * d3
+            f += 1
+          }
+          offer(i0, j, s0); offer(j, i0, s0)
+          if (rows > 1) { offer(i1, j, s1); offer(j, i1, s1) }
+          if (rows > 2) { offer(i2, j, s2); offer(j, i2, s2) }
+          if (rows > 3) { offer(i3, j, s3); offer(j, i3, s3) }
+          j += 1
+        }
+        first += 4
+      }
+    }
+    val nb = (n + Block - 1) / Block
+    Parallel.forEach(nb) { b =>
+      val end = math.min(n, b * Block + Block)
+      var i = b * Block
+      while (i < end) {
+        var j = i + 1
+        while (j < end) { val s = Neighbors.sqDist(x, j * p, x, i * p, p); offer(i, j, s); offer(j, i, s); j += 1 }
+        i += 1
+      }
+    }
+    // Round r pairs block m - 1 with r, and (r + t) % (m - 1) with
+    // (r - t) mod (m - 1) for t = 1 until m / 2; over the rounds each pair
+    // of blocks meets once. When nb is odd, block m - 1 = nb is the bye.
+    val m = nb + (nb & 1)
+    var round = 0
+    while (round < m - 1) {
+      val r = round
+      Parallel.forEach(m / 2) { t =>
+        val a = if (t == 0) m - 1 else (r + t) % (m - 1)
+        if (a < nb) tile(a, (r - t + m - 1) % (m - 1))
+      }
+      round += 1
+    }
+    out
+  }
+
+  /** A squared sum above this has a `math.sqrt` above `d`: the margin
+    * covers the rounding of `sqrt` and of `d * d`, and the floor keeps
+    * that relative margin out of the subnormal range.
+    */
+  private def sqBound(d: Double): Double = math.max(d * d * (1 + 1e-14), java.lang.Double.MIN_NORMAL)
 
   /** State of one `generate` call. Samples are addressed by their index in
     * `pts`; U and L (L subset of U) are flags, with the size of U, the
@@ -120,7 +217,7 @@ object RDGBG {
       * row-major: `lists(c * kk + e)` is the `e`-th nearest to `c`.
       */
     private val kk = math.max(0, math.min(K, n - 1))
-    private val lists = neighbourLists()
+    private val lists = neighbourLists(x, p, ids, K)
     /** The first samples of U - {c} in (distance, id) order for the current
       * candidate `c`, as `fromList` or `fromScan` fill it: every one closer
       * than sample `bound`, or all of U - {c} when `bound` is -1. `decide`
@@ -146,79 +243,41 @@ object RDGBG {
     def run(): RDGBGResult = {
       val kth = new Array[Int](labels.length)
       val pick = new Array[Int](labels.length)
+      val groups = new Array[Int](labels.length)
       while (tCount.exists(_ > 0)) {
-        // T = U - L, grouped by label, larger groups first. Each group draws
-        // k and offers its k-th member in data order as the candidate; the
-        // same pass compacts U.
-        val groups = labels.indices.filter(tCount(_) > 0).sortBy(g => -tCount(g))
-        groups.foreach(g => kth(g) = rng.nextInt(tCount(g)))
+        // T = U - L, grouped by label, larger groups first (ties in label
+        // order: a stable insertion sort). Each group draws k and offers its
+        // k-th member in data order as the candidate; the same pass
+        // compacts U.
+        var gN = 0; var g = 0
+        while (g < labels.length) {
+          if (tCount(g) > 0) {
+            var at = gN
+            while (at > 0 && tCount(groups(at - 1)) < tCount(g)) { groups(at) = groups(at - 1); at -= 1 }
+            groups(at) = g; gN += 1
+          }
+          g += 1
+        }
+        g = 0
+        while (g < gN) { kth(groups(g)) = rng.nextInt(tCount(groups(g))); g += 1 }
         var w = 0; var k = 0
         while (k < liveN) {
           val i = live(k)
           if (inU(i)) {
             live(w) = i; w += 1
-            if (!inL(i)) { val g = cls(i); if (kth(g) == 0) pick(g) = i; kth(g) -= 1 }
+            if (!inL(i)) { val ci = cls(i); if (kth(ci) == 0) pick(ci) = i; kth(ci) -= 1 }
           }
           k += 1
         }
         liveN = w
 
-        groups.foreach { g => val c = pick(g); if (inU(c) && !inL(c)) attempt(c) }
+        g = 0
+        while (g < gN) { val c = pick(groups(g)); if (inU(c) && !inL(c)) attempt(c); g += 1 }
       }
 
       // Orphan stage: every remaining undivided sample is its own ball.
       for (i <- 0 until n if inU(i)) balls += GranularBall(pts(i).features, 0.0, pts(i).label, Vector(pts(i)))
       RDGBGResult(balls.result(), noise.result())
-    }
-
-    /** The neighbour lists, built concurrently, `Block` samples a task. Each
-      * distance is `math.sqrt` of the scan's left-to-right sum. Four rows
-      * share each pass over the samples, so their four sums add side by
-      * side (one sum at a time waits on each add); past the block's end the
-      * last row repeats. A sum only grows, so a sample is dropped from a
-      * full list once its partial sum passes `sqBound` of the list's last
-      * distance, and the pass over a sample stops once all four are dropped.
-      */
-    private def neighbourLists(): Array[Int] = {
-      val out = new Array[Int](n * kk)
-      Parallel.forEach((n + Block - 1) / Block) { b =>
-        val end = math.min(n, b * Block + Block)
-        val row = new Array[Int](4)
-        val buf = Array.fill(4)(new Array[Int](kk)); val bufD = Array.fill(4)(new Array[Double](kk))
-        val size = new Array[Int](4); val lim = new Array[Double](4)
-        def offer(r: Int, j: Int, s: Double): Unit =
-          if (j != row(r) && s <= lim(r)) {
-            size(r) = Neighbors.offer(buf(r), bufD(r), size(r), kk, j, math.sqrt(s), ids)
-            if (size(r) == kk) lim(r) = sqBound(bufD(r)(kk - 1))
-          }
-        var first = b * Block
-        while (first < end) {
-          var r = 0
-          while (r < 4) { row(r) = math.min(first + r, end - 1); size(r) = 0; lim(r) = Double.PositiveInfinity; r += 1 }
-          val o0 = row(0) * p; val o1 = row(1) * p; val o2 = row(2) * p; val o3 = row(3) * p
-          var j = 0
-          while (j < n) {
-            val off = j * p
-            val l0 = lim(0); val l1 = lim(1); val l2 = lim(2); val l3 = lim(3)
-            var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
-            var f = 0
-            while (f < p && (s0 <= l0 || s1 <= l1 || s2 <= l2 || s3 <= l3)) {
-              val xj = x(off + f)
-              val d0 = xj - x(o0 + f); s0 += d0 * d0
-              val d1 = xj - x(o1 + f); s1 += d1 * d1
-              val d2 = xj - x(o2 + f); s2 += d2 * d2
-              val d3 = xj - x(o3 + f); s3 += d3 * d3
-              f += 1
-            }
-            if (f == p) { offer(0, j, s0); offer(1, j, s1); offer(2, j, s2); offer(3, j, s3) }
-            j += 1
-          }
-          r = 0
-          while (r < 4) { System.arraycopy(buf(r), 0, out, row(r) * kk, kk); r += 1 }
-          first += 4
-        }
-      }
-      out
     }
 
     /** Eq.2-6 for candidate center `c`, from its list or, when the list
@@ -349,12 +408,6 @@ object RDGBG {
       }
       rConf
     }
-
-    /** A squared sum above this has a `math.sqrt` above `d`: the margin
-      * covers the rounding of `sqrt` and of `d * d`, and the floor keeps
-      * that relative margin out of the subnormal range.
-      */
-    private def sqBound(d: Double): Double = math.max(d * d * (1 + 1e-14), java.lang.Double.MIN_NORMAL)
 
     /** The scan's distance from `c` to `j`. */
     private def distTo(c: Int, j: Int): Double = math.sqrt(Neighbors.sqDist(x, j * p, x, c * p, p))

@@ -63,6 +63,15 @@ class RDGBGDiffSpec extends SparkSpec {
     }, 60)
   }
 
+  test("neighbourLists equals a brute-force (sqrt distance, id) sort of D - {i}, across block counts") {
+    // Partial blocks, n < K, and odd block counts (3 and 5: a bye each round).
+    for (n <- Seq(0, 1, 2, 16, 17, 63, 64, 65, 129, 3 * 64 + 5, 4 * 64 + 1); p <- 1 to 3; seed <- 0 until 3) {
+      val (x, ids) = tieHeavyRows(n, p, seed)
+      for (k <- Seq(16, 3))
+        assert(RDGBG.neighbourLists(x, p, ids, k).sameElements(bruteLists(x, p, ids, k)), s"n = $n, p = $p, seed = $seed, k = $k")
+    }
+  }
+
   test("identical to the reference on all 13 datasets at 0 and 20 % noise (maxN = 400)") {
     for (i <- DatasetGen.specs.indices; nz <- Seq(0.0, 0.2)) {
       val clean = DatasetGen.generate(DatasetGen.specs(i), 400, 48, seed = 7)
@@ -114,6 +123,33 @@ object RDGBGDiffSpec {
       }.toVector
       (data, rho, seed)
     }
+
+  /** `n` rows of `p` features drawn from {0, 1, sqrt(2), 2} (many exact
+    * ties, and sums that differ by an ulp but share their `sqrt`), about
+    * one in four a copy of an earlier row, and distinct shuffled ids.
+    */
+  def tieHeavyRows(n: Int, p: Int, seed: Long): (Array[Double], Array[Long]) = {
+    val rng = new scala.util.Random(seed)
+    val levels = Array(0.0, 1.0, math.sqrt(2), 2.0)
+    val x = new Array[Double](n * p)
+    for (i <- 0 until n) {
+      if (i > 0 && rng.nextInt(4) == 0) System.arraycopy(x, rng.nextInt(i) * p, x, i * p, p)
+      else for (f <- 0 until p) x(i * p + f) = levels(rng.nextInt(levels.length))
+    }
+    (x, rng.shuffle((0L until 10L * n).toVector).take(n).toArray)
+  }
+
+  /** Each row's min(k, n - 1) nearest other rows by a full sort on
+    * (`sqrt` of the squared distance, id), row-major.
+    */
+  def bruteLists(x: Array[Double], p: Int, ids: Array[Long], k: Int): Array[Int] = {
+    val n = ids.length
+    val byDistId = Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)
+    Array.tabulate(n) { i =>
+      (0 until n).filter(_ != i).sortBy(j => (math.sqrt(Neighbors.sqDist(x, i * p, x, j * p, p)), ids(j)))(byDistId)
+        .take(math.min(k, n - 1))
+    }.flatten
+  }
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
   def ballKey(b: GranularBall) = (b.center.toVector.map(bits), bits(b.radius), b.label, b.points.map(_.id))

@@ -131,13 +131,18 @@ class RDGBGSpec extends SparkSpec {
   }
 
   test("generate from 4 threads at once, as concurrent Spark tasks call it, equals a lone call") {
-    val data = repro.data.DatasetGen.withNoise(TestData.blobs(3, 200, dim = 4, seed = 23), 0.2, seed = 24)
+    // 600 samples are 10 blocks of the list build; 670 are 11, an odd
+    // count, so each round gives one block a bye.
+    val sets = Seq(TestData.blobs(3, 200, dim = 4, seed = 23), TestData.blobs(2, 335, dim = 4, seed = 26))
     val key = (res: RDGBGResult) => (res.balls.map(RDGBGDiffSpec.ballKey), res.noise.map(_.id))
-    val lone = key(RDGBG.generate(data, seed = 25))
     val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
     try {
-      val runs = Vector.fill(4)(pool.submit(() => RDGBG.generate(data, seed = 25)))
-      runs.foreach(run => assert(key(run.get) == lone))
+      for (clean <- sets) {
+        val data = repro.data.DatasetGen.withNoise(clean, 0.2, seed = 24)
+        val lone = key(RDGBG.generate(data, seed = 25))
+        val runs = Vector.fill(4)(pool.submit(() => RDGBG.generate(data, seed = 25)))
+        runs.foreach(run => assert(key(run.get) == lone))
+      }
     } finally pool.shutdown()
   }
 
